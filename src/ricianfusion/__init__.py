@@ -11,17 +11,16 @@ from .scenario import (DeploymentConfig, JammerScenario, SensorParams,
                        generate_jammer, generate_wsn, lin_to_db,
                        load_scenario, preset_config, save_scenario,
                        steering_vector)
-from .signal_model import (H0, H1, SecondOrderChar, augment, augment_batch,
-                           crandn, draw_decisions, draw_jammed, draw_psi,
-                           draw_received, dump_samples, enumerate_decisions,
-                           pmf_moments, second_order_char)
-from .fusion_rules import (FREE_RULES, DegenerateWeightsError, FusionStatistic,
-                           RuleContext, UnsupportedSizeError, evaluate,
+from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
+                           augment_batch, crandn, draw_decisions, draw_jammed,
+                           draw_psi, draw_received, enumerate_decisions,
+                           second_order_char)
+from .fusion_rules import (FREE_RULES, JAM_RULES, RULES, DegenerateWeightsError,
+                           Rule, RuleContext, UnsupportedSizeError, evaluate,
                            igmm_rule, is_rule, llr, make_context, nlos_rule,
                            wl_rule, wl_weights)
-from .jamming_rules import (JAM_RULES, JammerWorkspace, SigmaPolySolver,
-                            build_workspace, clairvoyant_lrt, evaluate_jam,
-                            gamma_matrix, igmm_glrt, is_glrt, jammer_permutation,
+from .jamming_rules import (JammerWorkspace, SigmaPolySolver, build_workspace,
+                            evaluate_jam, igmm_glrt, is_glrt, jammer_permutation,
                             nlos_glrt, nlos_piecewise_reference,
                             solve_sigma_poly)
 from .montecarlo import (CSV_COLUMNS, DEFAULT_LEVELS, CalibratedTest, Engine,

@@ -10,49 +10,37 @@ Subcommands:
 
 Decibel quantities appear only here: noise powers are taken in dBm and
 converted once, at the boundary.  Exit codes: 0 ok, 1 failed check,
-2 usage error, 3 I/O error.
+2 usage error, 3 I/O error, 4 numerical error (a linear-algebra failure
+such as a covariance that is not positive definite).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
+import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import fusion_rules, jamming_rules, montecarlo
-from .scenario import (JAMMER_PRESETS, PRESETS, DeploymentConfig, db_to_lin,
-                       generate_jammer, generate_wsn, lin_to_db, load_scenario,
-                       preset_config, save_scenario)
-from .signal_model import H0, H1, second_order_char
+from .fusion_rules import RULES
+from .scenario import (JAMMER_PRESETS, PRESETS, db_to_lin, generate_jammer,
+                       generate_wsn, lin_to_db, load_scenario, preset_config,
+                       save_scenario)
+from .signal_model import H1, MAX_ENUM_K
 
 SEED_ENV = "RICIANFUSION_SEED"
-ALL_RULES = fusion_rules.FREE_RULES + jamming_rules.JAM_RULES
+RULES_HELP = f"comma list of rules: {', '.join(RULES)}"
+# an option value with a leading minus sign, e.g. the grid -10:5:10
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A fully resolved `run` invocation."""
-
-    presets: tuple[str, ...]
-    jammer_preset: str | None
-    rules: tuple[str, ...]
-    sigma_w2_dbm: tuple[float, ...]
-    n_antennas: tuple[int, ...]
-    target_pf0: float
-    trials: int
-    seed: int
-    k_sensors: int
-    pd: float
-    pf: float
-    threads: int
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -82,15 +70,28 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _parse_rules(text: str, k: int, jammed: bool) -> tuple[str, ...]:
     rules = tuple(r.strip() for r in text.split(",") if r.strip())
     for r in rules:
-        if r not in ALL_RULES:
-            raise UsageError(f"unknown rule {r!r}; choose from {', '.join(ALL_RULES)}")
-        if r in ("llr", "clairvoyant") and k > 16:
-            raise UsageError(f"rule {r!r} enumerates 2^K terms and needs K <= 16")
-        if r in jamming_rules.JAM_RULES and r != "clairvoyant" and not jammed:
+        if r not in RULES:
+            raise UsageError(f"unknown rule {r!r}; choose from {', '.join(RULES)}")
+        if RULES[r].enumerates and k > MAX_ENUM_K:
+            raise UsageError(
+                f"rule {r!r} enumerates 2^K terms and needs K <= {MAX_ENUM_K}")
+        if RULES[r].needs_jammer and not jammed:
             raise UsageError(f"rule {r!r} needs --jammer")
     if not rules:
         raise UsageError("no rules given")
     return rules
+
+
+def _check_sizes(trials: int, levels, threads: int) -> None:
+    """Reject false-alarm targets, trial and thread counts before any work."""
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise UsageError(f"false-alarm target {level} must lie in (0, 1)")
+    if trials < 100.0 / min(levels):
+        raise UsageError(f"need --trials >= {math.ceil(100.0 / min(levels))} "
+                         f"for the false-alarm target {min(levels)}")
+    if threads < 1:
+        raise UsageError(f"need --threads >= 1, got {threads}")
 
 
 def _seed_default() -> int:
@@ -168,6 +169,7 @@ def _write_plot_data(rows, outdir) -> None:
 
 
 def cmd_run(args) -> int:
+    _check_sizes(args.trials, (args.pf0,), args.threads)
     jammer_preset = None if args.jammer == "none" else args.jammer
     if args.scenario:
         config, wsn, jammer = load_scenario(args.scenario)
@@ -194,7 +196,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_roc(args) -> int:
+    levels = (tuple(float(x) for x in args.levels.split(","))
+              if args.levels else montecarlo.DEFAULT_LEVELS)
+    _check_sizes(args.trials, levels, args.threads)
     jammer_preset = None if args.jammer == "none" else args.jammer
+    rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed)
     root = np.random.SeedSequence([args.seed, 0])
@@ -204,12 +210,6 @@ def cmd_roc(args) -> int:
     jammer = (generate_jammer(config, np.random.default_rng(jam_ss),
                               preset=jammer_preset)
               if jammer_preset is not None else None)
-    rules = _parse_rules(args.rules, args.k, jammer is not None)
-    levels = (tuple(float(x) for x in args.levels.split(","))
-              if args.levels else montecarlo.DEFAULT_LEVELS)
-    if args.trials < 100.0 / min(levels):
-        raise UsageError(f"need --trials >= {int(np.ceil(100.0 / min(levels)))} "
-                         f"for the smallest level {min(levels)}")
     engine = montecarlo.Engine(wsn, jammer=jammer, seed=args.seed,
                                threads=args.threads)
     with open(args.out, "w", newline="") as fh:
@@ -351,6 +351,7 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
+    _check_sizes(args.trials, montecarlo.DEFAULT_LEVELS, args.threads)
     results = _verify_battery(args)
     failed = 0
     for name, ok, detail in results:
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--scenario", default=None, help="scenario file instead of preset")
     r.add_argument("--jammer", choices=["none", *sorted(JAMMER_PRESETS)],
                    default="none")
-    r.add_argument("--rules", default="is,nlos,igmm")
+    r.add_argument("--rules", default="is,nlos,igmm", help=RULES_HELP)
     r.add_argument("--sigma-grid", default="0", help="noise power dBm, start:step:stop")
     r.add_argument("--n", default="6", help="comma list of antenna counts")
     r.add_argument("--pf0", type=float, default=0.01)
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--preset", choices=sorted(PRESETS), default="intermediate")
     c.add_argument("--jammer", choices=["none", *sorted(JAMMER_PRESETS)],
                    default="none")
-    c.add_argument("--rules", default="is,nlos,igmm")
+    c.add_argument("--rules", default="is,nlos,igmm", help=RULES_HELP)
     c.add_argument("--n", type=int, default=6)
     c.add_argument("--sigma-dbm", type=float, default=0.0)
     c.add_argument("--levels", default=None, help="comma list of target Pf0 values")
@@ -434,17 +435,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Write "--opt -10:5:10" as "--opt=-10:5:10".
+
+    argparse takes a token with a leading minus sign for an option unless it
+    is a plain number, so a grid such as -10:5:10 would lose its option.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if (out and _NEGATIVE_VALUE.match(tok) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_glue_negative_values(argv))
     try:
         if args.seed is None:
             args.seed = _seed_default()
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:  # UsageError and invalid model parameters
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Interference-free fusion statistics at the fusion center.
+"""Interference-free fusion statistics at the fusion center, and the rule table.
 
 Six statistics, all real-valued and all "large under H1":
 
@@ -9,24 +9,25 @@ Six statistics, all real-valued and all "large under H1":
   wl1   same with H1-normalized deflection
   igmm  improper-Gaussian moment-matched quadratic statistic
 
-Every rule evaluates either one received vector (N,) -> float or a batch
-(T, N) -> (T,) array.  ``RuleContext`` carries everything precomputable
-from the scenario alone so the per-trial work stays small.
+Every kernel maps a batch of received vectors (T, N) to a (T,) array.
+``RuleContext`` carries everything precomputable from the scenario alone so
+the per-trial work stays small.  ``RULES`` lists all ten statistics (these
+six and the four jammer-aware ones of ``jamming_rules``) with what each
+needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-from .scenario import WsnScenario
-from .signal_model import (H0, H1, SecondOrderChar, augment, augment_batch,
-                           enumerate_decisions, pmf_moments, second_order_char)
-
-FREE_RULES = ("llr", "is", "nlos", "wl0", "wl1", "igmm")
+from .scenario import JammerScenario, WsnScenario
+from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
+                           augment_batch, enumerate_decisions, second_order_char)
 
 _HERM_RTOL = 1e-10
 _IMAG_TOL = 1e-10
@@ -43,7 +44,7 @@ class DegenerateWeightsError(ValueError):
 def _hermitian_inv(m: np.ndarray) -> np.ndarray:
     asym = np.linalg.norm(m - m.conj().T)
     if asym > _HERM_RTOL * max(np.linalg.norm(m), 1e-300):
-        raise ValueError("covariance matrix is not Hermitian within tolerance")
+        raise np.linalg.LinAlgError("covariance matrix is not Hermitian within tolerance")
     c, low = scipy.linalg.cho_factor(m)
     return scipy.linalg.cho_solve((c, low), np.eye(m.shape[0], dtype=complex))
 
@@ -52,7 +53,6 @@ def _hermitian_inv(m: np.ndarray) -> np.ndarray:
 class _LlrTables:
     """Enumeration tables for the exact mixture LLR."""
 
-    x_all: np.ndarray        # (2^K, K) int8
     mu_all: np.ndarray       # (N, 2^K) conditional means A_tilde x
     mu_norm2: np.ndarray     # (2^K,)
     sigma_e2_all: np.ndarray  # (2^K,) equivalent variances
@@ -68,25 +68,15 @@ def _log_pmf_iid(x_all: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(x_all == 1, logp[None, :], logq[None, :]).sum(axis=1)
 
 
-def _build_llr_tables(scenario: WsnScenario, pmf0, pmf1) -> _LlrTables:
-    k = scenario.k_sensors
-    x_all = enumerate_decisions(k)
+def _build_llr_tables(scenario: WsnScenario) -> _LlrTables:
+    x_all = enumerate_decisions(scenario.k_sensors)
     xf = x_all.astype(float)
     mu_all = scenario.a_tilde @ xf.T
-    sigma_e2_all = scenario.noise_power + xf @ scenario.nu
-    if pmf0 is None:
-        log_p0 = _log_pmf_iid(x_all, scenario.pf)
-    else:
-        with np.errstate(divide="ignore"):
-            log_p0 = np.log(np.asarray(pmf0, dtype=float))
-    if pmf1 is None:
-        log_p1 = _log_pmf_iid(x_all, scenario.pd)
-    else:
-        with np.errstate(divide="ignore"):
-            log_p1 = np.log(np.asarray(pmf1, dtype=float))
-    return _LlrTables(x_all=x_all, mu_all=mu_all,
+    return _LlrTables(mu_all=mu_all,
                       mu_norm2=np.sum(np.abs(mu_all) ** 2, axis=0),
-                      sigma_e2_all=sigma_e2_all, log_p0=log_p0, log_p1=log_p1)
+                      sigma_e2_all=scenario.noise_power + xf @ scenario.nu,
+                      log_p0=_log_pmf_iid(x_all, scenario.pf),
+                      log_p1=_log_pmf_iid(x_all, scenario.pd))
 
 
 @dataclass(frozen=True)
@@ -101,38 +91,22 @@ class RuleContext:
     z_wl0: np.ndarray | None
     z_wl1: np.ndarray | None
     llr_tables: _LlrTables | None
-    llr_cap: int
 
 
-def make_context(scenario: WsnScenario,
-                 sigma_x0: np.ndarray | None = None,
-                 sigma_x1: np.ndarray | None = None,
-                 pmf0: np.ndarray | None = None,
-                 pmf1: np.ndarray | None = None,
-                 llr_cap: int = 16) -> RuleContext:
+def make_context(scenario: WsnScenario) -> RuleContext:
     """Build a RuleContext.
 
-    Dependent local decisions enter either through explicit decision
-    covariances (sigma_x0/sigma_x1) or through full joint pmf tables
-    (pmf0/pmf1), from which marginals and covariances are derived.  The
-    exact-LLR enumeration tables are built only when K <= llr_cap.
+    The exact-LLR enumeration tables are built only when K <= MAX_ENUM_K.
     """
-    k = scenario.k_sensors
-    rho0 = rho1 = None
-    if pmf0 is not None:
-        rho0, sigma_x0 = pmf_moments(pmf0, k)
-    if pmf1 is not None:
-        rho1, sigma_x1 = pmf_moments(pmf1, k)
-    char0 = second_order_char(scenario, H0, sigma_x=sigma_x0, rho=rho0)
-    char1 = second_order_char(scenario, H1, sigma_x=sigma_x1, rho=rho1)
-    aug_inv0 = _hermitian_inv(char0.aug_cov)
-    aug_inv1 = _hermitian_inv(char1.aug_cov)
+    char0 = second_order_char(scenario, H0)
+    char1 = second_order_char(scenario, H1)
     tables = None
-    if k <= llr_cap:
-        tables = _build_llr_tables(scenario, pmf0, pmf1)
+    if scenario.k_sensors <= MAX_ENUM_K:
+        tables = _build_llr_tables(scenario)
     ctx = RuleContext(scenario=scenario, char0=char0, char1=char1,
-                      aug_inv0=aug_inv0, aug_inv1=aug_inv1,
-                      z_wl0=None, z_wl1=None, llr_tables=tables, llr_cap=llr_cap)
+                      aug_inv0=_hermitian_inv(char0.aug_cov),
+                      aug_inv1=_hermitian_inv(char1.aug_cov),
+                      z_wl0=None, z_wl1=None, llr_tables=tables)
     for i, name in ((H0, "z_wl0"), (H1, "z_wl1")):
         try:
             object.__setattr__(ctx, name, wl_weights(ctx, i))
@@ -141,58 +115,56 @@ def make_context(scenario: WsnScenario,
     return ctx
 
 
-def _as_batch(y) -> tuple[np.ndarray, bool]:
-    y = np.asarray(y, dtype=complex)
-    if y.ndim == 1:
-        return y[None, :], True
-    return y, False
-
-
-def llr(y, ctx: RuleContext):
+def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
     """Exact log-likelihood ratio.
 
     Both conditional densities are 2^K-component Gaussian mixtures; each
     mixture is evaluated in the log domain via logsumexp, so the result
-    stays finite for ||y|| far into the tails and for pmf entries equal to
-    zero.  Requires K <= llr_cap (enumeration tables).
+    stays finite for ||y|| far into the tails and for sensors that always
+    or never transmit.  Given a jammer and its per-trial symbols psi (T, r),
+    each component mean is shifted by A_J zeta(psi) and each component
+    variance inflated by sigma_j2(psi): the clairvoyant LRT.  Requires
+    K <= MAX_ENUM_K (enumeration tables).
     """
     tab = ctx.llr_tables
     if tab is None:
         raise UnsupportedSizeError(
-            f"exact LLR needs K <= {ctx.llr_cap} (K={ctx.scenario.k_sensors})")
-    ys, single = _as_batch(y)
-    t = ys.shape[0]
+            f"exact mixture statistics need K <= {MAX_ENUM_K} "
+            f"(K={ctx.scenario.k_sensors})")
+    sj2 = None
+    if jammer is not None and psi is not None:
+        y = y - jammer.zeta(psi) @ jammer.a_j.T
+        sj2 = jammer.sigma_j2(psi)
+    t = y.shape[0]
     n = ctx.scenario.n_antennas
     m = tab.mu_all.shape[1]
     out = np.empty(t)
-    log_var = n * np.log(tab.sigma_e2_all)
+    s2 = tab.sigma_e2_all[None, :]
     chunk = max(1, (1 << 23) // m)
     for lo in range(0, t, chunk):
-        ysl = ys[lo:lo + chunk]
+        ysl = y[lo:lo + chunk]
+        if sj2 is not None:
+            s2 = tab.sigma_e2_all[None, :] + sj2[lo:lo + chunk, None]
         g = ysl @ tab.mu_all.conj()
         d2 = (np.sum(np.abs(ysl) ** 2, axis=1)[:, None]
               + tab.mu_norm2[None, :] - 2.0 * g.real)
         np.maximum(d2, 0.0, out=d2)
-        base = -log_var[None, :] - d2 / tab.sigma_e2_all[None, :]
+        base = -n * np.log(s2) - d2 / s2
         out[lo:lo + chunk] = (logsumexp(base + tab.log_p1[None, :], axis=1)
                               - logsumexp(base + tab.log_p0[None, :], axis=1))
-    return float(out[0]) if single else out
+    return out
 
 
 def is_rule(y, ctx: RuleContext):
     """Ideal-sensor statistic 2 Re(mu_bar^H y) + (nu_bar / sigma_w^2) ||y||^2."""
-    ys, single = _as_batch(y)
     sc = ctx.scenario
-    out = (2.0 * (ys @ sc.mu_bar.conj()).real
-           + (sc.nu_bar / sc.noise_power) * np.sum(np.abs(ys) ** 2, axis=1))
-    return float(out[0]) if single else out
+    return (2.0 * (y @ sc.mu_bar.conj()).real
+            + (sc.nu_bar / sc.noise_power) * np.sum(np.abs(y) ** 2, axis=1))
 
 
 def nlos_rule(y):
     """Energy detector ||y||^2 (context-free)."""
-    ys, single = _as_batch(y)
-    out = np.sum(np.abs(ys) ** 2, axis=1)
-    return float(out[0]) if single else out
+    return np.sum(np.abs(y) ** 2, axis=1)
 
 
 def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
@@ -214,7 +186,7 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     # construction; enforce it exactly to kill roundoff drift
     mismatch = np.abs(z[n:] - z[:n].conj()).max()
     if mismatch > 1e-8 * max(np.abs(z).max(), 1e-300):
-        raise ValueError("widely-linear weight solve lost augmented structure")
+        raise np.linalg.LinAlgError("widely-linear weight solve lost augmented structure")
     z = np.concatenate([z[:n], z[:n].conj()])
     norm = np.linalg.norm(z)
     if norm < 1e-150:
@@ -237,16 +209,14 @@ def wl_rule(y, z: np.ndarray):
     n = n2 // 2
     if np.abs(z[n:] - z[:n].conj()).max() > 1e-8 * max(np.abs(z).max(), 1e-300):
         raise ValueError("weight vector is not augmented-consistent")
-    ys, single = _as_batch(y)
-    if ys.shape[1] != n:
-        raise ValueError(f"received vector length {ys.shape[1]} != {n}")
-    vals = augment_batch(ys) @ z.conj()
+    if y.shape[1] != n:
+        raise ValueError(f"received vector length {y.shape[1]} != {n}")
+    vals = augment_batch(y) @ z.conj()
     imag_max = np.abs(vals.imag).max(initial=0.0)
     scale = max(np.abs(vals).max(initial=0.0), 1.0)
     if imag_max > _IMAG_TOL * scale:
         raise ValueError(f"widely-linear statistic has imaginary residue {imag_max:g}")
-    out = vals.real
-    return float(out[0]) if single else out
+    return vals.real
 
 
 def _quad_form_batch(d: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
@@ -260,40 +230,60 @@ def igmm_rule(y, ctx: RuleContext):
     Difference of Mahalanobis distances of the augmented vector under the
     two hypotheses' augmented covariances.
     """
-    ys, single = _as_batch(y)
-    ya = augment_batch(ys)
+    ya = augment_batch(y)
     d1 = ya - augment(ctx.char1.mean)[None, :]
     d0 = ya - augment(ctx.char0.mean)[None, :]
-    out = (_quad_form_batch(d0, ctx.aug_inv0) - _quad_form_batch(d1, ctx.aug_inv1))
-    return float(out[0]) if single else out
+    return _quad_form_batch(d0, ctx.aug_inv0) - _quad_form_batch(d1, ctx.aug_inv1)
+
+
+def _wl_statistic(y, ctx: RuleContext, h: int):
+    z = ctx.z_wl1 if h else ctx.z_wl0
+    if z is None:
+        raise DegenerateWeightsError("widely-linear weights undefined for this scenario")
+    return wl_rule(y, z)
+
+
+# The jammer-aware kernels build on RuleContext and llr above.
+from . import jamming_rules  # noqa: E402
 
 
 @dataclass(frozen=True)
-class FusionStatistic:
-    """A named, real, finite fusion statistic value."""
+class Rule:
+    """A fusion statistic and what evaluating it needs.
 
-    rule: str
-    value: float
+    ``kernel(y, ctx, jammer, ws, psi)`` maps a (T, N) batch to (T,).  The
+    kernels look their statistic up by name when called, so a module
+    function rebound after import is the one evaluated.
+    """
 
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"statistic {self.rule!r} is not finite: {self.value}")
+    kernel: Callable[..., np.ndarray]
+    jammer_aware: bool = False  # evaluated through jamming_rules.evaluate_jam
+    needs_jammer: bool = False  # undefined without a jammer scenario
+    enumerates: bool = False    # sums 2^K mixture terms, so K <= MAX_ENUM_K
+
+
+RULES = {
+    "llr": Rule(lambda y, ctx, jam, ws, psi: llr(y, ctx), enumerates=True),
+    "is": Rule(lambda y, ctx, jam, ws, psi: is_rule(y, ctx)),
+    "nlos": Rule(lambda y, ctx, jam, ws, psi: nlos_rule(y)),
+    "wl0": Rule(lambda y, ctx, jam, ws, psi: _wl_statistic(y, ctx, H0)),
+    "wl1": Rule(lambda y, ctx, jam, ws, psi: _wl_statistic(y, ctx, H1)),
+    "igmm": Rule(lambda y, ctx, jam, ws, psi: igmm_rule(y, ctx)),
+    "clairvoyant": Rule(lambda y, ctx, jam, ws, psi: llr(y, ctx, jam, psi),
+                        jammer_aware=True, enumerates=True),
+    "is-glrt": Rule(lambda y, ctx, jam, ws, psi: jamming_rules.is_glrt(y, ctx, jam),
+                    jammer_aware=True, needs_jammer=True),
+    "nlos-glrt": Rule(lambda y, ctx, jam, ws, psi: jamming_rules.nlos_glrt(y, jam),
+                      jammer_aware=True, needs_jammer=True),
+    "igmm-glrt": Rule(lambda y, ctx, jam, ws, psi: jamming_rules.igmm_glrt(y, ctx, jam, ws),
+                      jammer_aware=True, needs_jammer=True),
+}
+FREE_RULES = tuple(name for name, rule in RULES.items() if not rule.jammer_aware)
+JAM_RULES = tuple(name for name, rule in RULES.items() if rule.jammer_aware)
 
 
 def evaluate(rule: str, y, ctx: RuleContext):
-    """Dispatch an interference-free rule by id."""
-    if rule == "llr":
-        return llr(y, ctx)
-    if rule == "is":
-        return is_rule(y, ctx)
-    if rule == "nlos":
-        return nlos_rule(y)
-    if rule in ("wl0", "wl1"):
-        z = ctx.z_wl0 if rule == "wl0" else ctx.z_wl1
-        if z is None:
-            raise DegenerateWeightsError(
-                "widely-linear weights undefined for this scenario")
-        return wl_rule(y, z)
-    if rule == "igmm":
-        return igmm_rule(y, ctx)
-    raise ValueError(f"unknown fusion rule {rule!r}; choose from {FREE_RULES}")
+    """Evaluate an interference-free rule by name on a (T, N) batch."""
+    if rule not in FREE_RULES:
+        raise ValueError(f"unknown fusion rule {rule!r}; choose from {FREE_RULES}")
+    return RULES[rule].kernel(y, ctx, None, None, None)

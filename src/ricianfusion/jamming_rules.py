@@ -1,6 +1,7 @@
 """Fusion statistics that tolerate (or exploit) a rank-r subspace interferer.
 
   clairvoyant  exact LRT given the jammer symbols and scattered power
+               (fusion_rules.llr with the jammer shift and inflation)
   is-glrt      ideal-sensor GLRT: project out the jammer subspace, estimate
                the residual interference floor by ML, plug back in
   nlos-glrt    energy in the interference-free subspace
@@ -18,62 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import logsumexp
 
-from .fusion_rules import RuleContext, UnsupportedSizeError
+from . import fusion_rules
+from .fusion_rules import RuleContext
 from .scenario import JammerScenario
 from .signal_model import H0, H1
 
-JAM_RULES = ("clairvoyant", "is-glrt", "nlos-glrt", "igmm-glrt")
-
 _ROOT_IMAG_TOL = 1e-8
 _MERGE_RTOL = 1e-9
-
-
-def _as_batch(y):
-    y = np.asarray(y, dtype=complex)
-    if y.ndim == 1:
-        return y[None, :], True
-    return y, False
-
-
-def clairvoyant_lrt(y_s, ctx: RuleContext, jammer: JammerScenario | None = None,
-                    psi=None):
-    """Exact LRT when the jammer LOS symbols and scattered power are known.
-
-    Same Gaussian-mixture ratio as the interference-free LLR, but each
-    component mean is shifted by A_J zeta(psi) and each component variance
-    inflated by sigma_j2(psi).  ``psi`` may be per-trial (T, r).  With no
-    jammer (or psi None) this is exactly the plain LLR.
-    """
-    tab = ctx.llr_tables
-    if tab is None:
-        raise UnsupportedSizeError(
-            f"clairvoyant LRT needs K <= {ctx.llr_cap} (K={ctx.scenario.k_sensors})")
-    ys, single = _as_batch(y_s)
-    t = ys.shape[0]
-    n = ctx.scenario.n_antennas
-    if jammer is not None and psi is not None:
-        psi_arr = np.atleast_2d(np.asarray(psi, dtype=complex))
-        shift = jammer.zeta(psi_arr) @ jammer.a_j.T
-        sj2 = np.atleast_1d(jammer.sigma_j2(psi_arr))
-        ys = ys - shift
-    else:
-        sj2 = np.zeros(t)
-    m = tab.mu_all.shape[1]
-    out = np.empty(t)
-    chunk = max(1, (1 << 23) // m)
-    for lo in range(0, t, chunk):
-        ysl = ys[lo:lo + chunk]
-        s2 = tab.sigma_e2_all[None, :] + sj2[lo:lo + chunk, None]
-        g = ysl @ tab.mu_all.conj()
-        d2 = (np.sum(np.abs(ysl) ** 2, axis=1)[:, None]
-              + tab.mu_norm2[None, :] - 2.0 * g.real)
-        np.maximum(d2, 0.0, out=d2)
-        base = -n * np.log(s2) - d2 / s2
-        out[lo:lo + chunk] = (logsumexp(base + tab.log_p1[None, :], axis=1)
-                              - logsumexp(base + tab.log_p0[None, :], axis=1))
-    return float(out[0]) if single else out
 
 
 def _perp_energy(ys: np.ndarray, jammer: JammerScenario) -> np.ndarray:
@@ -88,25 +41,21 @@ def is_glrt(y_s, ctx: RuleContext, jammer: JammerScenario):
     [||P y||^2 / N - noise]_+ and plugged back into the projected Gaussian
     likelihood ratio.
     """
-    ys, single = _as_batch(y_s)
     sc = ctx.scenario
     n = sc.n_antennas
     mu1 = sc.a_tilde.sum(axis=1)
-    n0 = _perp_energy(ys, jammer)
-    n1 = _perp_energy(ys - mu1[None, :], jammer)
+    n0 = _perp_energy(y_s, jammer)
+    n1 = _perp_energy(y_s - mu1[None, :], jammer)
     s0 = sc.noise_power
     s1 = float(sc.noise_power + sc.nu.sum())
     v0 = s0 + np.maximum(n0 / n - s0, 0.0)
     v1 = s1 + np.maximum(n1 / n - s1, 0.0)
-    out = n * np.log(v0 / v1) - n1 / v1 + n0 / v0
-    return float(out[0]) if single else out
+    return n * np.log(v0 / v1) - n1 / v1 + n0 / v0
 
 
 def nlos_glrt(y_s, jammer: JammerScenario):
     """Energy in the interference-free subspace: ||P_perp y_s||^2."""
-    ys, single = _as_batch(y_s)
-    out = _perp_energy(ys, jammer)
-    return float(out[0]) if single else out
+    return _perp_energy(y_s, jammer)
 
 
 def nlos_piecewise_reference(r0_norm2, sigma_a2: float, sigma_b2: float, n: int):
@@ -148,12 +97,7 @@ def jammer_permutation(n: int, r: int) -> np.ndarray:
                            np.arange(r, n), np.arange(n + r, 2 * n)])
 
 
-def gamma_matrix(n: int, r: int) -> np.ndarray:
-    """Permutation matrix whose adjoint realizes jammer_permutation."""
-    return np.eye(2 * n)[:, jammer_permutation(n, r)]
-
-
-def _group_indices(values: np.ndarray, rtol: float):
+def _group_indices(values: np.ndarray):
     """Sorted group representatives and a membership matrix (groups x raw)."""
     order = np.argsort(values)
     v = values[order]
@@ -163,7 +107,7 @@ def _group_indices(values: np.ndarray, rtol: float):
     g = 0
     while i < len(v):
         j = i + 1
-        while j < len(v) and v[j] - v[i] <= rtol * (1.0 + abs(v[i])):
+        while j < len(v) and v[j] - v[i] <= _MERGE_RTOL * (1.0 + abs(v[i])):
             j += 1
         reps.append(v[i:j].mean())
         member[order[i:j]] = g
@@ -212,8 +156,7 @@ class SigmaPolySolver:
     smaller floor.
     """
 
-    def __init__(self, lambda_a: np.ndarray, lambda_c: np.ndarray,
-                 merge_rtol: float = _MERGE_RTOL):
+    def __init__(self, lambda_a: np.ndarray, lambda_c: np.ndarray):
         la = np.asarray(lambda_a, dtype=float)
         lc = np.asarray(lambda_c, dtype=float)
         if la.ndim != 1 or lc.ndim != 1 or la.size == 0 or lc.size == 0:
@@ -227,9 +170,9 @@ class SigmaPolySolver:
         self.scale = float(max(la.max(), lc.max(), 1e-300))
         a = la / self.scale
         c = lc / self.scale
-        self._a_vals, a_member = _group_indices(a, merge_rtol)
+        self._a_vals, a_member = _group_indices(a)
         self._a_cnts = a_member.sum(axis=1)
-        self._c_vals, self._c_member = _group_indices(c, merge_rtol)
+        self._c_vals, self._c_member = _group_indices(c)
         m = len(self._a_vals)
         q = len(self._c_vals)
         a_factors = [np.array([av, 1.0]) for av in self._a_vals]
@@ -247,18 +190,9 @@ class SigmaPolySolver:
         self._deg = deg
         self._lhs = lhs
         self._g = np.stack(g_cols, axis=1)  # (deg+1, Q)
-        self._lead = float(self._a_cnts.sum())  # coefficient of s^deg, > 0
-
-    def solve(self, v_abs2: np.ndarray) -> float:
-        """ML floor for one measurement's rotated energies v_abs2."""
-        v = np.asarray(v_abs2, dtype=float)
-        if v.shape != self.lambda_c.shape:
-            raise ValueError(
-                f"v_abs2 must have shape {self.lambda_c.shape}, got {v.shape}")
-        return float(self.solve_batch(v[None, :])[0])
 
     def solve_batch(self, v_abs2: np.ndarray) -> np.ndarray:
-        """Vectorized solve for (T, len(lambda_c)) energies."""
+        """ML floors for (T, len(lambda_c)) rotated measurement energies."""
         v = np.asarray(v_abs2, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.lambda_c.size:
             raise ValueError("expected (T, len(lambda_c)) energies")
@@ -300,7 +234,8 @@ class SigmaPolySolver:
 
 def solve_sigma_poly(lambda_a, lambda_c, v_abs2) -> float:
     """One-shot ML residual floor (see SigmaPolySolver)."""
-    return SigmaPolySolver(lambda_a, lambda_c).solve(np.asarray(v_abs2, dtype=float))
+    v = np.asarray(v_abs2, dtype=float)[None, :]
+    return float(SigmaPolySolver(lambda_a, lambda_c).solve_batch(v)[0])
 
 
 @dataclass(frozen=True)
@@ -318,9 +253,7 @@ class JammerWorkspace:
     perm: np.ndarray
     u_j: np.ndarray
     t_mean: tuple[np.ndarray, np.ndarray]
-    sigma_a: tuple[np.ndarray, np.ndarray]
     lambda_a: tuple[np.ndarray, np.ndarray]
-    sigma_c: tuple[np.ndarray, np.ndarray]
     u_c: tuple[np.ndarray, np.ndarray]
     lambda_c: tuple[np.ndarray, np.ndarray]
     solvers: tuple[SigmaPolySolver, SigmaPolySolver]
@@ -337,7 +270,7 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
     u_aug[:n, :n] = uj
     u_aug[n:, n:] = uj.conj()
     perm = jammer_permutation(n, r)
-    t_mean, sig_a, lam_a, sig_c, u_c, lam_c, solvers = [], [], [], [], [], [], []
+    t_mean, lam_a, u_c, lam_c, solvers = [], [], [], [], []
     for char in (ctx.char0, ctx.char1):
         s_a = u_aug.conj().T @ char.aug_cov @ u_aug
         la = np.linalg.eigvalsh(s_a)
@@ -346,16 +279,14 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
         lc, uc = np.linalg.eigh(s_c)
         lc = np.maximum(lc, 0.0)
         t_mean.append(char.mean)
-        sig_a.append(s_a)
         lam_a.append(la)
-        sig_c.append(s_c)
         u_c.append(uc)
         lam_c.append(lc)
         solvers.append(SigmaPolySolver(la, lc))
     return JammerWorkspace(
         n_antennas=n, rank=r, perm=perm, u_j=uj,
-        t_mean=tuple(t_mean), sigma_a=tuple(sig_a), lambda_a=tuple(lam_a),
-        sigma_c=tuple(sig_c), u_c=tuple(u_c), lambda_c=tuple(lam_c),
+        t_mean=tuple(t_mean), lambda_a=tuple(lam_a), u_c=tuple(u_c),
+        lambda_c=tuple(lam_c),
         solvers=tuple(solvers))
 
 
@@ -370,11 +301,10 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     """
     if ws is None:
         ws = build_workspace(ctx, jammer)
-    ys, single = _as_batch(y_s)
     r = ws.rank
     per_h = []
     for i in (H0, H1):
-        s = (ys - ws.t_mean[i][None, :]) @ ws.u_j.conj()
+        s = (y_s - ws.t_mean[i][None, :]) @ ws.u_j.conj()
         s_aug = np.concatenate([s, s.conj()], axis=-1)
         m_c = s_aug[:, ws.perm[2 * r:]]
         v = m_c @ ws.u_c[i].conj()
@@ -383,20 +313,20 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
         logdet = np.sum(np.log(ws.lambda_a[i][None, :] + floors[:, None]), axis=1)
         quad = np.sum(v2 / (ws.lambda_c[i][None, :] + floors[:, None]), axis=1)
         per_h.append((logdet, quad))
-    out = (-0.5 * (per_h[1][0] - per_h[0][0])
-           - 0.5 * (per_h[1][1] - per_h[0][1]))
-    return float(out[0]) if single else out
+    return (-0.5 * (per_h[1][0] - per_h[0][0])
+            - 0.5 * (per_h[1][1] - per_h[0][1]))
 
 
-def evaluate_jam(rule: str, y_s, ctx: RuleContext, jammer: JammerScenario,
+def evaluate_jam(rule: str, y_s, ctx: RuleContext, jammer: JammerScenario | None,
                  ws: JammerWorkspace | None = None, psi=None):
-    """Dispatch a jammer-aware rule by id."""
-    if rule == "clairvoyant":
-        return clairvoyant_lrt(y_s, ctx, jammer, psi)
-    if rule == "is-glrt":
-        return is_glrt(y_s, ctx, jammer)
-    if rule == "nlos-glrt":
-        return nlos_glrt(y_s, jammer)
-    if rule == "igmm-glrt":
-        return igmm_glrt(y_s, ctx, jammer, ws)
-    raise ValueError(f"unknown jammer-aware rule {rule!r}; choose from {JAM_RULES}")
+    """Evaluate a jammer-aware rule by name on a (T, N) batch.
+
+    ``psi`` (T, r) holds the jammer symbols the clairvoyant LRT is given.
+    """
+    if rule not in fusion_rules.JAM_RULES:
+        raise ValueError(f"unknown jammer-aware rule {rule!r}; "
+                         f"choose from {fusion_rules.JAM_RULES}")
+    spec = fusion_rules.RULES[rule]
+    if spec.needs_jammer and jammer is None:
+        raise ValueError(f"rule {rule!r} needs a jammer scenario")
+    return spec.kernel(y_s, ctx, jammer, ws, psi)

@@ -14,15 +14,14 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import spearmanr
 
 from . import fusion_rules, jamming_rules
-from .scenario import (JAMMER_PRESETS, PRESETS, DeploymentConfig, JammerScenario,
-                       WsnScenario, db_to_lin, generate_jammer, generate_wsn,
-                       preset_config)
+from .scenario import (JAMMER_PRESETS, JammerScenario, WsnScenario, db_to_lin,
+                       generate_jammer, generate_wsn, preset_config)
 from .signal_model import H0, H1, draw_decisions, draw_jammed, draw_received
 
 BLOCK = 8192
@@ -99,15 +98,17 @@ class Engine:
     """
 
     def __init__(self, scenario: WsnScenario, ctx=None,
-                 jammer: JammerScenario | None = None, workspace=None,
+                 jammer: JammerScenario | None = None,
                  seed: int = 0, block: int = BLOCK, threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"need threads >= 1, got {threads}")
         self.scenario = scenario
         self.ctx = ctx if ctx is not None else fusion_rules.make_context(scenario)
         self.jammer = jammer
-        self._ws = workspace
+        self._ws = None
         self.seed = int(seed)
         self.block = int(block)
-        self.threads = max(1, int(threads))
+        self.threads = int(threads)
         self._cache: dict = {}
 
     @property
@@ -147,26 +148,25 @@ class Engine:
         return batch
 
     def eval(self, rule, batch: SampleBatch) -> np.ndarray:
-        """Evaluate one rule on a batch, slicing across worker threads."""
+        """Evaluate a RULES name or a callable rule on a batch, sliced across threads."""
         t = batch.y.shape[0]
         slices = [slice(lo, min(lo + self.block, t)) for lo in range(0, t, self.block)]
-
-        def run(sl):
-            y = batch.y[sl]
-            if callable(rule):
-                return np.asarray(rule(y, self.ctx), dtype=float)
-            if rule in fusion_rules.FREE_RULES:
-                return fusion_rules.evaluate(rule, y, self.ctx)
-            if rule in jamming_rules.JAM_RULES:
-                if rule != "clairvoyant" and self.jammer is None:
-                    raise ValueError(f"rule {rule!r} needs a jammer scenario")
-                psi = None if batch.psi is None else batch.psi[sl]
-                return jamming_rules.evaluate_jam(
-                    rule, y, self.ctx, self.jammer,
-                    self.workspace if rule == "igmm-glrt" else None, psi=psi)
+        if callable(rule):
+            def run(sl):
+                return np.asarray(rule(batch.y[sl], self.ctx), dtype=float)
+        elif rule not in fusion_rules.RULES:
             raise ValueError(
-                f"unknown rule {rule!r}; choose from "
-                f"{fusion_rules.FREE_RULES + jamming_rules.JAM_RULES}")
+                f"unknown rule {rule!r}; choose from {', '.join(fusion_rules.RULES)}")
+        elif rule in fusion_rules.JAM_RULES:
+            ws = self.workspace
+
+            def run(sl):
+                psi = None if batch.psi is None else batch.psi[sl]
+                return jamming_rules.evaluate_jam(rule, batch.y[sl], self.ctx,
+                                                  self.jammer, ws, psi=psi)
+        else:
+            def run(sl):
+                return fusion_rules.evaluate(rule, batch.y[sl], self.ctx)
 
         if self.threads == 1 or len(slices) == 1:
             outs = [run(sl) for sl in slices]
@@ -260,8 +260,7 @@ def _engine_seed(seed: int, *indices: int) -> int:
 def sweep(presets, sigma_w2_dbm, n_antennas, rules, trials: int,
           target_pf0: float = 0.01, jammer_preset: str | None = None,
           k_sensors: int = 14, pd: float = 0.5, pf: float = 0.05,
-          seed: int = 0, threads: int = 1, llr_cap: int = 16,
-          signal_policy: str = "uniform-phase", frozen=None):
+          seed: int = 0, threads: int = 1, frozen=None):
     """Detection-performance grid sweep.
 
     One deployment (and jammer) is drawn per preset and frozen; the grid
@@ -283,7 +282,7 @@ def sweep(presets, sigma_w2_dbm, n_antennas, rules, trials: int,
         for pi, preset in enumerate(presets):
             config = preset_config(preset, k_sensors=k_sensors,
                                    n_antennas=max(n_antennas), pd=pd, pf=pf,
-                                   seed=seed, signal_policy=signal_policy)
+                                   seed=seed)
             root = np.random.SeedSequence([seed, pi])
             wsn_ss, jam_ss = root.spawn(2)
             wsn0 = generate_wsn(config, np.random.default_rng(wsn_ss))
@@ -301,7 +300,7 @@ def sweep(presets, sigma_w2_dbm, n_antennas, rules, trials: int,
             jam_n = jam0.with_(n_antennas=n) if jam0 is not None else None
             for si, s_dbm in enumerate(sigma_w2_dbm):
                 scenario = wsn_n.with_(noise_power=float(db_to_lin(s_dbm)))
-                ctx = fusion_rules.make_context(scenario, llr_cap=llr_cap)
+                ctx = fusion_rules.make_context(scenario)
                 engine = Engine(scenario, ctx, jam_n,
                                 seed=_engine_seed(seed, pi, ni, si),
                                 threads=threads)

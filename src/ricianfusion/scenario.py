@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,6 @@ JAMMER_PRESETS = {
 }
 
 _RANK_RTOL = 1e-8  # smallest/largest singular value ratio for "full rank"
-_SVD_CUTOFF = 1e-10  # relative cutoff when pseudo-inverting the jammer matrix
 
 
 def steering_vector(theta: float, n: int) -> np.ndarray:
@@ -231,9 +229,9 @@ class JammerScenario:
 
     Columns of the mixing matrix are steering vectors at the jammer bearings,
     scaled by the per-component LOS amplitudes; the scattered residual power
-    for a transmit vector psi is sigma_j2(psi).  The SVD, the orthogonal
-    projector onto the interference-free subspace and the pseudo-inverse are
-    precomputed here because every interference-aware rule needs them.
+    for a transmit vector psi is sigma_j2(psi).  The SVD basis and the
+    orthogonal projector onto the interference-free subspace are precomputed
+    here because every interference-aware rule needs them.
     """
 
     phi: np.ndarray
@@ -248,8 +246,6 @@ class JammerScenario:
     nu: np.ndarray = field(init=False, repr=False)
     a_j: np.ndarray = field(init=False, repr=False)
     u_j: np.ndarray = field(init=False, repr=False)
-    s_j: np.ndarray = field(init=False, repr=False)
-    vh_j: np.ndarray = field(init=False, repr=False)
     u_perp: np.ndarray = field(init=False, repr=False)
     p_perp: np.ndarray = field(init=False, repr=False)
 
@@ -277,12 +273,10 @@ class JammerScenario:
         cols = np.stack([steering_vector(p, n) for p in phi], axis=1)
         a_j = cols * (np.sqrt(beta) * b)[None, :]
         set_(self, "a_j", _lock(a_j))
-        u, s, vh = np.linalg.svd(a_j, full_matrices=True)
+        u, s, _ = np.linalg.svd(a_j, full_matrices=True)
         if s[-1] <= _RANK_RTOL * s[0]:
             raise ValueError("jammer mixing matrix is (numerically) rank deficient")
         set_(self, "u_j", _lock(u))
-        set_(self, "s_j", _lock(s))
-        set_(self, "vh_j", _lock(vh))
         u_perp = u[:, r:]
         set_(self, "u_perp", _lock(u_perp))
         set_(self, "p_perp", _lock(u_perp @ u_perp.conj().T))
@@ -308,17 +302,6 @@ class JammerScenario:
         psi = np.asarray(psi, dtype=complex)
         out = (np.abs(psi) ** 2) @ self.nu
         return float(out) if out.ndim == 0 else out
-
-    def pinv_apply(self, y) -> np.ndarray:
-        """Least-squares jammer symbol estimate: pseudo-inverse of A_J applied to y."""
-        y = np.asarray(y, dtype=complex)
-        r = self.rank
-        s = self.s_j
-        keep = s > _SVD_CUTOFF * s[0]
-        inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        # V diag(1/s) U_r^H y, vectorized over leading axes of y
-        proj = y @ self.u_j[:, :r].conj()
-        return (proj * inv_s) @ self.vh_j.conj()
 
     def with_(self, n_antennas: int) -> "JammerScenario":
         return JammerScenario(

@@ -9,13 +9,12 @@ fading, and w ~ CN(0, sigma_w^2 I_N) thermal noise.  A jammer adds
 A_J zeta(psi) plus its own scattered term.  Complex-normal convention
 throughout: CN(0, s) has real and imaginary parts N(0, s/2).
 
-All drawing functions are vectorized over a leading trial axis.
+All drawing functions take and return batches with a leading trial axis.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,10 @@ from .scenario import JammerScenario, WsnScenario
 
 H0 = 0
 H1 = 1
+
+# Largest sensor count whose 2^K decision vectors are enumerated (the exact
+# mixture statistics sum over all of them).
+MAX_ENUM_K = 16
 
 
 def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
@@ -33,70 +36,39 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
 
 def enumerate_decisions(k: int) -> np.ndarray:
     """All 2^k decision vectors, row j holding the bits of j (sensor k = bit k)."""
-    if k > 16:
-        raise ValueError(f"decision enumeration capped at K=16, got K={k}")
+    if k > MAX_ENUM_K:
+        raise ValueError(f"decision enumeration capped at K={MAX_ENUM_K}, got K={k}")
     j = np.arange(2 ** k, dtype=np.uint32)
     return ((j[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int8)
 
 
-def pmf_moments(pmf: np.ndarray, k: int):
-    """Marginal transmit probabilities and decision covariance of a joint pmf.
-
-    ``pmf`` is a length-2^k table over decision vectors in the
-    enumerate_decisions() order.  Returns (rho, sigma_x).
-    """
-    pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape != (2 ** k,):
-        raise ValueError(f"pmf must have shape ({2 ** k},), got {pmf.shape}")
-    if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-9:
-        raise ValueError("pmf entries must be nonnegative and sum to 1")
-    x_all = enumerate_decisions(k).astype(float)
-    rho = pmf @ x_all
-    second = (x_all * pmf[:, None]).T @ x_all
-    return rho, second - np.outer(rho, rho)
-
-
 def draw_decisions(scenario: WsnScenario, h: int, rng: np.random.Generator,
-                   size: int | None = None, pmf: np.ndarray | None = None) -> np.ndarray:
-    """Draw local decisions under hypothesis ``h``.
+                   size: int) -> np.ndarray:
+    """Independent Bernoulli decisions under hypothesis ``h``: pd (h=1) or pf (h=0).
 
-    Default: independent Bernoulli with the per-sensor pd (h=1) or pf (h=0).
-    A joint pmf table over all 2^K decision vectors may be supplied instead
-    (K <= 16).  Returns int8 of shape (K,) or (size, K).
+    Returns int8 of shape (size, K).
     """
-    k = scenario.k_sensors
-    t = 1 if size is None else int(size)
-    if pmf is not None:
-        pmf = np.asarray(pmf, dtype=float)
-        pmf_moments(pmf, k)  # validates shape/normalization
-        idx = rng.choice(2 ** k, size=t, p=pmf)
-        x = enumerate_decisions(k)[idx]
-    else:
-        p = scenario.rho(h)
-        x = (rng.random((t, k)) < p[None, :]).astype(np.int8)
-    return x[0] if size is None else x
+    p = scenario.rho(h)
+    return (rng.random((int(size), scenario.k_sensors)) < p[None, :]).astype(np.int8)
 
 
 def draw_received(scenario: WsnScenario, x, rng: np.random.Generator) -> np.ndarray:
-    """One channel use: LOS term plus per-sensor scattered fading plus noise.
+    """Channel uses: LOS term plus per-sensor scattered fading plus noise.
 
-    ``x`` has shape (K,) or (T, K); the result matches with N in place of K.
-    Draw order (scattered fading first, then noise) is fixed so equal seeds
-    give equal samples.
+    ``x`` has shape (T, K); the result has shape (T, N).  Draw order
+    (scattered fading first, then noise) is fixed so equal seeds give equal
+    samples.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = np.atleast_2d(x)
-    t, k = xs.shape
+    t, k = x.shape
     if k != scenario.k_sensors:
         raise ValueError(f"decision vector length {k} != K={scenario.k_sensors}")
     n = scenario.n_antennas
-    los = xs @ scenario.a_tilde.T
+    los = x @ scenario.a_tilde.T
     h_scat = crandn(rng, (t, n, k))
-    scat = np.einsum("tnk,tk->tn", h_scat, xs * np.sqrt(scenario.nu)[None, :])
+    scat = np.einsum("tnk,tk->tn", h_scat, x * np.sqrt(scenario.nu)[None, :])
     w = crandn(rng, (t, n), var=scenario.noise_power)
-    y = los + scat + w
-    return y[0] if single else y
+    return los + scat + w
 
 
 def draw_psi(jammer: JammerScenario, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -110,25 +82,19 @@ def draw_psi(jammer: JammerScenario, rng: np.random.Generator, size: int) -> np.
 
 def draw_jammed(scenario: WsnScenario, jammer: JammerScenario, x,
                 rng: np.random.Generator):
-    """Channel use with the jammer active; returns (y_s, psi).
+    """Channel uses with the jammer active; returns (y_s, psi), (T, N) and (T, r).
 
     The interference-free part is drawn first (so with a common seed it
     matches draw_received exactly), then the jammer symbols psi, the jammer
     LOS contribution A_J zeta(psi) and its scattered fading are added.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = np.atleast_2d(x)
-    t = xs.shape[0]
-    y = np.atleast_2d(draw_received(scenario, xs, rng))
+    t = np.shape(x)[0]
+    y = draw_received(scenario, x, rng)
     psi = draw_psi(jammer, rng, t)
     zeta = jammer.zeta(psi)
     h_j = crandn(rng, (t, scenario.n_antennas, jammer.rank))
     scat = np.einsum("tnr,tr->tn", h_j, psi * np.sqrt(jammer.nu)[None, :])
-    y_s = y + zeta @ jammer.a_j.T + scat
-    if single:
-        return y_s[0], psi[0]
-    return y_s, psi
+    return y + zeta @ jammer.a_j.T + scat, psi
 
 
 def augment(a: np.ndarray) -> np.ndarray:
@@ -163,26 +129,14 @@ class SecondOrderChar:
     rho: np.ndarray
 
 
-def second_order_char(scenario: WsnScenario, h: int,
-                      sigma_x: np.ndarray | None = None,
-                      rho: np.ndarray | None = None) -> SecondOrderChar:
+def second_order_char(scenario: WsnScenario, h: int) -> SecondOrderChar:
     """Closed-form conditional second-order statistics of y under ``h``.
 
-    By default decisions are conditionally independent, so the decision
-    covariance is diag(rho_k (1 - rho_k)).  A caller-supplied ``sigma_x``
-    (K x K, e.g. from pmf_moments for dependent decisions) overrides it,
-    optionally together with the matching marginals ``rho``.
+    Decisions are conditionally independent, so the decision covariance is
+    diag(rho_k (1 - rho_k)).
     """
-    k = scenario.k_sensors
-    rho = scenario.rho(h) if rho is None else np.asarray(rho, dtype=float)
-    if rho.shape != (k,):
-        raise ValueError(f"rho must have shape ({k},), got {rho.shape}")
-    if sigma_x is None:
-        sigma_x = np.diag(rho * (1.0 - rho))
-    else:
-        sigma_x = np.asarray(sigma_x, dtype=float)
-        if sigma_x.shape != (k, k):
-            raise ValueError(f"sigma_x must be ({k}, {k}), got {sigma_x.shape}")
+    rho = scenario.rho(h)
+    sigma_x = np.diag(rho * (1.0 - rho))
     at = scenario.a_tilde
     sigma_e2 = float(scenario.nu @ rho + scenario.noise_power)
     mean = at @ rho
@@ -192,21 +146,3 @@ def second_order_char(scenario: WsnScenario, h: int,
     aug = np.block([[cov, pcov], [pcov.conj(), cov.conj()]])
     return SecondOrderChar(mean=mean, cov=cov, pcov=pcov, aug_cov=aug,
                            sigma_e2=sigma_e2, rho=rho)
-
-
-def dump_samples(path, y: np.ndarray, x: np.ndarray, hypothesis: int) -> None:
-    """Write drawn samples to CSV: trial, hypothesis, decision bits, Re/Im of y."""
-    y = np.atleast_2d(np.asarray(y))
-    x = np.atleast_2d(np.asarray(x))
-    n = y.shape[1]
-    header = (["trial", "hypothesis", "x"]
-              + [f"re_y{i}" for i in range(n)] + [f"im_y{i}" for i in range(n)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(y.shape[0]):
-            bits = "".join(str(int(b)) for b in x[t])
-            row = [t, int(hypothesis), bits]
-            row += [repr(float(v)) for v in y[t].real]
-            row += [repr(float(v)) for v in y[t].imag]
-            writer.writerow(row)

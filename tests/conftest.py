@@ -1,11 +1,11 @@
 """Shared fixtures: small fixed-seed deployments for fast unit tests."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import ricianfusion as rf
+from ricianfusion.cli import _force_ideal as force_ideal  # noqa: F401
+from ricianfusion.cli import _force_kappa_zero as force_kappa_zero  # noqa: F401
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -18,16 +18,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
-
-
-def force_kappa_zero(wsn):
-    return type(wsn)(sensors=tuple(replace(s, kappa=0.0) for s in wsn.sensors),
-                     n_antennas=wsn.n_antennas, noise_power=wsn.noise_power)
-
-
-def force_ideal(wsn):
-    return type(wsn)(sensors=tuple(replace(s, pd=1.0, pf=0.0) for s in wsn.sensors),
-                     n_antennas=wsn.n_antennas, noise_power=wsn.noise_power)
 
 
 def make_deployment(preset="intermediate", k=6, n=4, seed=0, jammer=None, **kw):

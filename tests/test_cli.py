@@ -2,12 +2,17 @@
 
 import csv
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 import ricianfusion as rf
 from ricianfusion import cli
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 # ------------------------------------------------------------ grid parsing
@@ -50,6 +55,36 @@ def test_exponential_rule_with_too_many_sensors_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "K <= 16" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+
+    monkeypatch.setattr(cli.montecarlo, "sweep", broken)
+    rc = cli.main(["run", "--rules", "nlos", "--k", "3", "--n", "2",
+                   "--trials", "2000", "--pf0", "0.05", "--out", str(tmp_path / "x.csv")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "numerical error: matrix is not positive definite" in err
+    assert "usage error" not in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--trials", "500", "--pf0", "0.01"], "--trials >= 10000"),
+    (["--pf0", "0"], "must lie in (0, 1)"),
+    (["--pf0", "1.5"], "must lie in (0, 1)"),
+    (["--threads", "0"], "--threads >= 1"),
+])
+def test_run_validates_sizes_before_drawing_a_deployment(tmp_path, monkeypatch, capsys,
+                                                         extra, message):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before the inputs were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    rc = cli.main(["run", "--rules", "nlos", *extra, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bad_grid_exits_2(tmp_path):
@@ -184,6 +219,82 @@ def test_roc_rejects_unresolvable_levels(tmp_path, capsys):
                    "--out", str(tmp_path / "roc.csv")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_negative_grid_start_needs_no_equals_sign(tmp_path, capsys):
+    outs = [tmp_path / "space.csv", tmp_path / "equals.csv"]
+    common = ["run", "--rules", "nlos", "--k", "3", "--n", "2", "--trials", "1000",
+              "--pf0", "0.1"]
+    assert cli.main(common + ["--sigma-grid", "-10:5:-5", "--out", str(outs[0])]) == 0
+    assert cli.main(common + ["--sigma-grid=-10:5:-5", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    with open(outs[0]) as fh:
+        assert [float(r["sigma_w2_dbm"]) for r in csv.DictReader(fh)] == [-10.0, -5.0]
+    capsys.readouterr()
+
+
+# ------------------------------------------------------------ documentation
+
+# appended to each README command to keep the test fast; argparse keeps the
+# last value given for an option
+README_OVERRIDES = {
+    "generate": [],
+    "run": ["--trials", "1000", "--pf0", "0.1", "--k", "4"],
+    "roc": ["--k", "4"],
+    "verify": ["--trials", "10000"],
+}
+
+
+def readme_commands():
+    """Every `ricianfusion ...` command in the README's fenced blocks."""
+    with open(README) as fh:
+        text = fh.read()
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ricianfusion "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [c[0] for c in commands] == ["generate", "run", "run", "roc", "verify", "verify"]
+    for argv in commands:
+        rc = cli.main(argv + README_OVERRIDES[argv[0]])
+        out, err = capsys.readouterr()
+        assert rc == 0, (argv, out, err)
+    assert os.path.exists("sweep.csv") and os.path.exists("jammed.csv")
+    assert os.path.exists("roc.csv") and os.listdir("plots")
+
+
+def test_rule_table_matches_readme_help_and_kernel_shapes(jammed_pair, monkeypatch,
+                                                          capsys):
+    with open(README) as fh:
+        section = fh.read().split("## Fusion rules")[1].split("\n## ")[0]
+    documented = [name for line in section.splitlines() if line.startswith("| `")
+                  for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert documented == list(rf.RULES)
+    monkeypatch.setenv("COLUMNS", "1000")     # one help line per option
+    for sub in ("run", "roc"):
+        with pytest.raises(SystemExit):
+            cli.main([sub, "--help"])
+        listed = re.search(r"comma list of rules: (.*)", capsys.readouterr().out)
+        assert listed.group(1).strip().split(", ") == list(rf.RULES)
+    assert rf.FREE_RULES + rf.JAM_RULES == tuple(rf.RULES)
+
+    wsn, jam = jammed_pair
+    ctx = rf.make_context(wsn)
+    ws = rf.build_workspace(ctx, jam)
+    rng = np.random.default_rng(5)
+    for t in (1, 3):
+        y = rf.crandn(rng, (t, wsn.n_antennas))
+        psi = rf.draw_psi(jam, rng, t)
+        for name, rule in rf.RULES.items():
+            vals = rule.kernel(y, ctx, jam, ws, psi)
+            assert vals.shape == (t,), name
+            assert np.all(np.isfinite(vals)), name
 
 
 # ------------------------------------------------------------ verify

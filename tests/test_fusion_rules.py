@@ -55,22 +55,25 @@ def test_llr_matches_high_precision_mixture_oracle_k1():
     rng = np.random.default_rng(7)
     for _ in range(20):
         y = rf.crandn(rng, 2, var=4.0)
-        got = rf.llr(y, ctx)
+        got = rf.llr(y[None, :], ctx)[0]
         want = mp_mixture_llr(y, wsn, pmf0, pmf1)
         assert abs(got - want) < 1e-9, (got, want)
 
 
-def test_llr_matches_oracle_with_dependent_pmfs_k2():
+def test_llr_matches_oracle_with_an_ideal_sensor_k2():
     wsn, _ = make_deployment(k=2, n=3, seed=32)
+    # an ideal first sensor (pd = 1, pf = 0) gives half of each mixture's
+    # components probability zero: the log(0) = -inf component path
+    sensors = (replace(wsn.sensors[0], pd=1.0, pf=0.0),) + wsn.sensors[1:]
+    wsn = type(wsn)(sensors=sensors, n_antennas=wsn.n_antennas,
+                    noise_power=wsn.noise_power)
+    pmf0, pmf1 = iid_pmf(wsn.pf, 2), iid_pmf(wsn.pd, 2)
+    assert np.sum(pmf0 == 0.0) == 2 and np.sum(pmf1 == 0.0) == 2
+    ctx = rf.make_context(wsn)
     rng = np.random.default_rng(11)
-    pmf0 = rng.dirichlet(np.ones(4))
-    pmf1 = rng.dirichlet(np.ones(4))
-    pmf1[2] = 0.0                       # exercise the log(0) = -inf component path
-    pmf1 /= pmf1.sum()
-    ctx = rf.make_context(wsn, pmf0=pmf0, pmf1=pmf1)
     for _ in range(20):
         y = rf.crandn(rng, 3, var=2.0)
-        got = rf.llr(y, ctx)
+        got = rf.llr(y[None, :], ctx)[0]
         want = mp_mixture_llr(y, wsn, pmf0, pmf1)
         assert abs(got - want) < 1e-9, (got, want)
 
@@ -78,32 +81,33 @@ def test_llr_matches_oracle_with_dependent_pmfs_k2():
 def test_llr_stays_finite_deep_in_the_tails(small_ctx):
     n = small_ctx.scenario.n_antennas
     rng = np.random.default_rng(3)
-    y = rf.crandn(rng, n)
+    y = rf.crandn(rng, (1, n))
     for scale in (0.0, 1.0, 1e3, 1e6):
         v = rf.llr(scale * y, small_ctx)
-        assert np.isfinite(v)
+        assert np.all(np.isfinite(v))
     # ideal sensors put zero mass on mixed decision patterns yet stay finite
     ideal = force_ideal(small_ctx.scenario)
     v = rf.llr(y, rf.make_context(ideal))
-    assert np.isfinite(v)
+    assert np.all(np.isfinite(v))
 
 
 def test_llr_batch_equals_single_calls(small_ctx):
     rng = np.random.default_rng(4)
     ys = rf.crandn(rng, (17, small_ctx.scenario.n_antennas))
     batch = rf.llr(ys, small_ctx)
-    singles = np.array([rf.llr(y, small_ctx) for y in ys])
+    singles = np.array([rf.llr(y[None, :], small_ctx)[0] for y in ys])
     # batched matmuls may round differently from single-row ones
     np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
 
 def test_llr_enumeration_cap_raises_cleanly():
-    wsn, _ = make_deployment(k=5, n=3, seed=17)
-    ctx = rf.make_context(wsn, llr_cap=4)
+    wsn, _ = make_deployment(k=rf.MAX_ENUM_K + 1, n=3, seed=17)
+    ctx = rf.make_context(wsn)
+    assert ctx.llr_tables is None
     with pytest.raises(rf.UnsupportedSizeError):
-        rf.llr(np.zeros(3, dtype=complex), ctx)
+        rf.llr(np.zeros((1, 3), dtype=complex), ctx)
     # other rules keep working without the enumeration tables
-    assert np.isfinite(rf.is_rule(np.ones(3, dtype=complex), ctx))
+    assert np.all(np.isfinite(rf.is_rule(np.ones((1, 3), dtype=complex), ctx)))
 
 
 # ------------------------------------------------------------------- is / nlos
@@ -113,13 +117,13 @@ def test_is_statistic_matches_scalar_hand_expansion():
     ctx = rf.make_context(wsn)
     rng = np.random.default_rng(5)
     ys = rf.crandn(rng, (16, 2), var=3.0)
-    for y in ys:
+    for y, got in zip(ys, rf.is_rule(ys, ctx)):
         mu_bar = [sum(wsn.a_tilde[i, k] for k in range(3)) / 3 for i in range(2)]
         cross = sum((mu_bar[i].conjugate() * y[i]).real for i in range(2))
         energy = sum(abs(y[i]) ** 2 for i in range(2))
         nu_bar = sum(wsn.nu) / 3
         want = 2 * cross + (nu_bar / wsn.noise_power) * energy
-        assert rf.is_rule(y, ctx) == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_nlos_is_energy_and_unitarily_invariant(small_ctx):
@@ -134,11 +138,11 @@ def test_nlos_is_energy_and_unitarily_invariant(small_ctx):
 
 def test_zero_and_unit_inputs_hit_closed_form_values(small_ctx):
     n = small_ctx.scenario.n_antennas
-    zero = np.zeros(n, dtype=complex)
-    assert rf.is_rule(zero, small_ctx) == 0.0
-    assert rf.nlos_rule(zero) == 0.0
-    assert rf.nlos_rule(np.ones(n, dtype=complex)) == float(n)
-    assert rf.wl_rule(zero, small_ctx.z_wl0) == 0.0
+    zero = np.zeros((1, n), dtype=complex)
+    np.testing.assert_array_equal(rf.is_rule(zero, small_ctx), [0.0])
+    np.testing.assert_array_equal(rf.nlos_rule(zero), [0.0])
+    np.testing.assert_array_equal(rf.nlos_rule(np.ones((1, n), dtype=complex)), [n])
+    np.testing.assert_array_equal(rf.wl_rule(zero, small_ctx.z_wl0), [0.0])
 
 
 def test_zero_rician_factors_make_is_proportional_to_energy(small_wsn):
@@ -213,7 +217,7 @@ def test_wl_statistic_with_basis_weights_reads_twice_the_real_part(small_ctx):
 def test_wl_statistic_is_real_linear(small_ctx):
     rng = np.random.default_rng(14)
     n = small_ctx.scenario.n_antennas
-    y1, y2 = rf.crandn(rng, n), rf.crandn(rng, n)
+    y1, y2 = rf.crandn(rng, (1, n)), rf.crandn(rng, (1, n))
     z = small_ctx.z_wl0
     s = lambda y: rf.wl_rule(y, z)
     assert s(y1 + y2) == pytest.approx(s(y1) + s(y2), rel=1e-10, abs=1e-12)
@@ -225,9 +229,9 @@ def test_wl_rule_rejects_inconsistent_weights(small_ctx):
     rng = np.random.default_rng(15)
     bad = rf.crandn(rng, 2 * n)          # generic vector: not augmented-consistent
     with pytest.raises(ValueError):
-        rf.wl_rule(rf.crandn(rng, n), bad)
+        rf.wl_rule(rf.crandn(rng, (1, n)), bad)
     with pytest.raises(ValueError):
-        rf.wl_rule(rf.crandn(rng, n), np.ones(3, dtype=complex))
+        rf.wl_rule(rf.crandn(rng, (1, n)), np.ones(3, dtype=complex))
 
 
 def test_wl_weights_degenerate_when_hypotheses_coincide(small_wsn):
@@ -237,7 +241,7 @@ def test_wl_weights_degenerate_when_hypotheses_coincide(small_wsn):
     ctx = rf.make_context(same)
     assert ctx.z_wl0 is None and ctx.z_wl1 is None
     with pytest.raises(rf.DegenerateWeightsError):
-        rf.evaluate("wl0", np.zeros(small_wsn.n_antennas, dtype=complex), ctx)
+        rf.evaluate("wl0", np.zeros((1, small_wsn.n_antennas), dtype=complex), ctx)
 
 
 def test_wl_weights_degenerate_without_any_los(small_wsn):
@@ -291,14 +295,11 @@ def test_rules_are_deterministic(small_ctx):
 
 def test_unknown_rule_rejected(small_ctx):
     with pytest.raises(ValueError):
-        rf.evaluate("maximum-ratio", np.zeros(small_ctx.scenario.n_antennas), small_ctx)
-
-
-def test_finite_statistic_wrapper():
-    s = rf.FusionStatistic(rule="nlos", value=1.5)
-    assert s.value == 1.5
-    with pytest.raises(ValueError):
-        rf.FusionStatistic(rule="nlos", value=float("nan"))
+        rf.evaluate("maximum-ratio", np.zeros((1, small_ctx.scenario.n_antennas)),
+                    small_ctx)
+    with pytest.raises(ValueError):      # jammer-aware rules go through evaluate_jam
+        rf.evaluate("clairvoyant", np.zeros((1, small_ctx.scenario.n_antennas)),
+                    small_ctx)
 
 
 def test_llr_collapses_to_is_rule_when_scattering_dominates():

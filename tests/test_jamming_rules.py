@@ -106,7 +106,7 @@ def test_floor_solver_merges_near_equal_eigenvalues():
     solver = rf.SigmaPolySolver(la, lc)
     assert len(solver._a_vals) == 3 and len(solver._c_vals) == 2
     v2 = np.array([30.0, 11.0, 60.0])
-    s = solver.solve(v2)
+    s = solver.solve_batch(v2[None, :])[0]
     _, l_ref = grid_refine_floor(la, lc, v2)
     assert profile_loglik(la, lc, v2, [s])[0] >= l_ref - 1e-6
 
@@ -118,7 +118,7 @@ def test_floor_solver_batch_matches_single():
     solver = rf.SigmaPolySolver(la, lc)
     v2 = rng.uniform(0.0, 100.0, size=(40, 6))
     batch = solver.solve_batch(v2)
-    singles = np.array([solver.solve(v) for v in v2])
+    singles = np.array([solver.solve_batch(v[None, :])[0] for v in v2])
     # batched BLAS paths may differ from single-row ones in the last ulp
     np.testing.assert_allclose(batch, singles, rtol=1e-9, atol=1e-12)
 
@@ -132,9 +132,11 @@ def test_floor_solver_validation():
         rf.SigmaPolySolver(np.array([1.0, np.inf]), np.array([1.0]))
     solver = rf.SigmaPolySolver(np.ones(4), np.ones(2))
     with pytest.raises(ValueError):
-        solver.solve(np.array([1.0, 2.0, 3.0]))
+        solver.solve_batch(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
-        solver.solve(np.array([1.0, -2.0]))
+        solver.solve_batch(np.array([[1.0, -2.0]]))
+    with pytest.raises(ValueError):          # batches only
+        solver.solve_batch(np.array([1.0, 2.0]))
 
 
 # ------------------------------------------------------------------ permutation
@@ -145,12 +147,6 @@ def test_jammer_permutation_gathers_subspace_coordinates_first():
     # halves of the augmented vector: [0..n) raw, [n..2n) conjugated
     np.testing.assert_array_equal(perm[:2 * r], [0, 1, 5, 6])
     np.testing.assert_array_equal(np.sort(perm), np.arange(2 * n))
-    g = rf.gamma_matrix(n, r)
-    assert g.shape == (2 * n, 2 * n)
-    np.testing.assert_array_equal(g.sum(axis=0), np.ones(2 * n))
-    np.testing.assert_array_equal(g.sum(axis=1), np.ones(2 * n))
-    v = np.arange(2 * n, dtype=float)
-    np.testing.assert_array_equal(g.T @ v, v[perm])
     with pytest.raises(ValueError):
         rf.jammer_permutation(3, 3)
 
@@ -190,10 +186,10 @@ def test_workspace_invariants(jammed_pair):
         # basis change preserves the spectrum of the augmented covariance
         np.testing.assert_allclose(ws.lambda_a[i],
                                    np.linalg.eigvalsh(char.aug_cov), atol=1e-8)
+        assert ws.lambda_c[i].shape == (2 * (n - r),)
         assert ws.lambda_c[i].min() >= 0.0
-        sc = ws.sigma_c[i]
-        assert sc.shape == (2 * (n - r), 2 * (n - r))
-        np.testing.assert_allclose(sc, sc.conj().T, atol=1e-10)
+        uc = ws.u_c[i]        # eigenbasis of the clean block
+        np.testing.assert_allclose(uc.conj().T @ uc, np.eye(2 * (n - r)), atol=1e-10)
     mismatched = rf.make_context(wsn.with_(n_antennas=n + 1))
     with pytest.raises(ValueError):
         rf.build_workspace(mismatched, jam)
@@ -203,9 +199,15 @@ def test_workspace_invariants(jammed_pair):
 
 def test_clairvoyant_without_jammer_is_the_plain_llr(small_ctx):
     rng = np.random.default_rng(600)
-    y = rf.crandn(rng, (25, small_ctx.scenario.n_antennas), var=2.0)
-    np.testing.assert_allclose(rf.clairvoyant_lrt(y, small_ctx), rf.llr(y, small_ctx),
-                               rtol=1e-12)
+    n = small_ctx.scenario.n_antennas
+    y = rf.crandn(rng, (25, n), var=2.0)
+    plain = rf.llr(y, small_ctx)
+    # a jammer whose symbols are all zero neither shifts nor inflates anything
+    quiet = rf.JammerScenario(phi=np.array([np.pi / 3]), beta=np.array([2.0]),
+                              kappa=np.array([1.0]), n_antennas=n)
+    for got in (rf.evaluate_jam("clairvoyant", y, small_ctx, None),
+                rf.llr(y, small_ctx, quiet, np.zeros((25, 1), dtype=complex))):
+        np.testing.assert_array_equal(got, plain)
 
 
 def test_clairvoyant_matches_shift_and_inflation_oracle_k1():
@@ -215,7 +217,7 @@ def test_clairvoyant_matches_shift_and_inflation_oracle_k1():
     rng = np.random.default_rng(52)
     psi = rf.draw_psi(jam, rng, size=10)
     y = rf.crandn(rng, (10, 3), var=5.0)
-    got = rf.clairvoyant_lrt(y, ctx, jam, psi)
+    got = rf.llr(y, ctx, jam, psi)
     shift = jam.zeta(psi) @ jam.a_j.T
     for i in range(10):
         inflated = wsn.with_(noise_power=wsn.noise_power + float(jam.sigma_j2(psi[i])))
@@ -234,8 +236,8 @@ def test_clairvoyant_cancels_matched_mean_shifts(jammed_pair):
     np.testing.assert_allclose(jam.sigma_j2(psi2), jam.sigma_j2(psi), rtol=1e-12)
     y = rf.crandn(rng, (15, wsn.n_antennas), var=4.0)
     delta = (jam.zeta(psi2) - jam.zeta(psi)) @ jam.a_j.T
-    got = rf.clairvoyant_lrt(y + delta, ctx, jam, psi2)
-    want = rf.clairvoyant_lrt(y, ctx, jam, psi)
+    got = rf.llr(y + delta, ctx, jam, psi2)
+    want = rf.llr(y, ctx, jam, psi)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
@@ -249,7 +251,7 @@ def test_clairvoyant_pure_los_jammer_reduces_to_shifted_llr(jammed_pair):
     rng = np.random.default_rng(53)
     psi = rf.draw_psi(los_only, rng, size=12)
     y = rf.crandn(rng, (12, wsn.n_antennas), var=3.0)
-    got = rf.clairvoyant_lrt(y, ctx, los_only, psi)
+    got = rf.llr(y, ctx, los_only, psi)
     want = rf.llr(y - los_only.zeta(psi) @ los_only.a_j.T, ctx)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
@@ -385,6 +387,10 @@ def test_jam_dispatch(jammed_pair):
         assert vals.shape == (5,) and np.all(np.isfinite(vals))
     with pytest.raises(ValueError):
         rf.evaluate_jam("unknown", y, ctx, jam)
+    with pytest.raises(ValueError):
+        rf.evaluate_jam("nlos", y, ctx, jam)
+    with pytest.raises(ValueError):
+        rf.evaluate_jam("is-glrt", y, ctx, None)
 
 
 def test_igmm_glrt_precomputed_workspace_matches_ad_hoc(jammed_pair):

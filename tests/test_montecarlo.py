@@ -96,6 +96,11 @@ def test_engine_rejects_unknown_and_jammerless_rules(small_wsn):
         eng.stats("nlos-glrt", rf.H0, 100, 0)
 
 
+def test_engine_rejects_nonpositive_thread_counts(small_wsn):
+    with pytest.raises(ValueError):
+        rf.Engine(small_wsn, threads=0)
+
+
 def test_engine_accepts_callable_rules(small_wsn):
     eng = rf.Engine(small_wsn, seed=0)
     vals = eng.stats(lambda y, ctx: rf.nlos_rule(y), rf.H0, 500, 0)
