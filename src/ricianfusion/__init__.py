@@ -12,8 +12,8 @@ from .scenario import (DeploymentConfig, JammerScenario, SensorParams,
                        load_scenario, preset_config, save_scenario,
                        steering_vector)
 from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
-                           augment_batch, crandn, draw_decisions, draw_jammed,
-                           draw_psi, draw_received, enumerate_decisions,
+                           crandn, draw_decisions, draw_jammed, draw_psi,
+                           draw_received, enumerate_decisions,
                            second_order_char)
 from .fusion_rules import (FREE_RULES, JAM_RULES, RULES, DegenerateWeightsError,
                            Rule, RuleContext, UnsupportedSizeError, evaluate,
@@ -23,8 +23,9 @@ from .jamming_rules import (JammerWorkspace, SigmaPolySolver, build_workspace,
                             evaluate_jam, igmm_glrt, is_glrt, jammer_permutation,
                             nlos_glrt, nlos_piecewise_reference,
                             solve_sigma_poly)
-from .montecarlo import (CSV_COLUMNS, DEFAULT_LEVELS, CalibratedTest, Engine,
-                         EquivalenceResult, McEstimate, calibrate_threshold,
+from .montecarlo import (CSV_COLUMNS, DEFAULT_LEVELS, ROC_COLUMNS,
+                         CalibratedTest, Engine, EquivalenceResult, McEstimate,
+                         calibrate_threshold, draw_deployment,
                          equivalence_check, estimate_pd0, roc_points, sweep,
                          upper_quantile, write_csv)
 

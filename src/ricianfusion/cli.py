@@ -17,7 +17,6 @@ such as a covariance that is not positive definite).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
@@ -28,9 +27,8 @@ import numpy as np
 
 from . import fusion_rules, jamming_rules, montecarlo
 from .fusion_rules import RULES
-from .scenario import (JAMMER_PRESETS, PRESETS, db_to_lin, generate_jammer,
-                       generate_wsn, lin_to_db, load_scenario, preset_config,
-                       save_scenario)
+from .scenario import (JAMMER_PRESETS, PRESETS, db_to_lin, lin_to_db,
+                       load_scenario, preset_config, save_scenario)
 from .signal_model import H1, MAX_ENUM_K
 
 SEED_ENV = "RICIANFUSION_SEED"
@@ -67,7 +65,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer list {text!r}") from None
 
 
-def _parse_rules(text: str, k: int, jammed: bool) -> tuple[str, ...]:
+def _parse_rules(text: str, k: int, jammed: bool,
+                 jammer_source: str = "--jammer") -> tuple[str, ...]:
     rules = tuple(r.strip() for r in text.split(",") if r.strip())
     for r in rules:
         if r not in RULES:
@@ -76,7 +75,7 @@ def _parse_rules(text: str, k: int, jammed: bool) -> tuple[str, ...]:
             raise UsageError(
                 f"rule {r!r} enumerates 2^K terms and needs K <= {MAX_ENUM_K}")
         if RULES[r].needs_jammer and not jammed:
-            raise UsageError(f"rule {r!r} needs --jammer")
+            raise UsageError(f"rule {r!r} needs {jammer_source}")
     if not rules:
         raise UsageError("no rules given")
     return rules
@@ -104,6 +103,10 @@ def _seed_default() -> int:
         raise UsageError(f"environment variable {SEED_ENV}={raw!r} is not an integer") from None
 
 
+def _jammer_preset(args) -> str | None:
+    return None if args.jammer in (None, "none") else args.jammer
+
+
 def _force_kappa_zero(wsn):
     return type(wsn)(sensors=tuple(replace(s, kappa=0.0) for s in wsn.sensors),
                      n_antennas=wsn.n_antennas, noise_power=wsn.noise_power)
@@ -123,15 +126,9 @@ def cmd_generate(args) -> int:
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed,
                            jammer_rank=args.r)
-    root = np.random.SeedSequence([args.seed])
-    wsn_ss, jam_ss = root.spawn(2)
-    wsn = generate_wsn(config, np.random.default_rng(wsn_ss))
+    wsn, jammer = montecarlo.draw_deployment(config, _jammer_preset(args), [args.seed])
     if args.kappa_zero:
         wsn = _force_kappa_zero(wsn)
-    jammer = None
-    if args.jammer != "none":
-        jammer = generate_jammer(config, np.random.default_rng(jam_ss),
-                                 preset=args.jammer)
     if args.out:
         save_scenario(args.out, config, wsn, jammer)
     print(f"# preset={args.preset} jammer={args.jammer} K={wsn.k_sensors} "
@@ -159,35 +156,35 @@ def _write_plot_data(rows, outdir) -> None:
         key = (row["preset"], row["jammer"], row["rule"], row["n_antennas"])
         series.setdefault(key, []).append(row)
     for (preset, jam, rule, n), pts in series.items():
-        name = f"pd0__{preset}__{jam}__{rule}__N{n}.csv"
-        with open(os.path.join(outdir, name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sigma_w2_dbm", "pd0", "pd0_stderr"])
-            for p in sorted(pts, key=lambda r: r["sigma_w2_dbm"]):
-                writer.writerow([repr(p["sigma_w2_dbm"]), repr(p["pd0"]),
-                                 repr(p["pd0_stderr"])])
+        montecarlo.write_csv(sorted(pts, key=lambda r: r["sigma_w2_dbm"]),
+                             os.path.join(outdir, f"pd0__{preset}__{jam}__{rule}__N{n}.csv"),
+                             columns=("sigma_w2_dbm", "pd0", "pd0_stderr"))
 
 
 def cmd_run(args) -> int:
     _check_sizes(args.trials, (args.pf0,), args.threads)
-    jammer_preset = None if args.jammer == "none" else args.jammer
+    grid, n_list = parse_grid(args.sigma_grid), _parse_int_list(args.n)
     if args.scenario:
-        config, wsn, jammer = load_scenario(args.scenario)
-        k = wsn.k_sensors
-        rules = _parse_rules(args.rules, k, jammer is not None)
+        if args.jammer is not None or args.preset is not None:
+            raise UsageError("--jammer and --preset do not combine with --scenario: "
+                             "the scenario file fixes the deployment")
+        _, wsn, jammer = load_scenario(args.scenario)
+        rules = _parse_rules(args.rules, wsn.k_sensors, jammer is not None,
+                             f"a jammer in the scenario file {args.scenario}")
         label = os.path.splitext(os.path.basename(args.scenario))[0]
-        rows = montecarlo.sweep(
-            [label], parse_grid(args.sigma_grid), _parse_int_list(args.n),
-            rules, args.trials, target_pf0=args.pf0, jammer_preset=None,
-            k_sensors=k, seed=args.seed, threads=args.threads,
-            frozen=[(label, wsn, jammer)])
+        deployments = [(label, "none" if jammer is None else "custom", wsn, jammer)]
     else:
+        jammer_preset = _jammer_preset(args)
         rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
-        rows = montecarlo.sweep(
-            tuple(args.preset.split(",")), parse_grid(args.sigma_grid),
-            _parse_int_list(args.n), rules, args.trials, target_pf0=args.pf0,
-            jammer_preset=jammer_preset, k_sensors=args.k, pd=args.pd,
-            pf=args.pf, seed=args.seed, threads=args.threads)
+        deployments = []
+        for pi, preset in enumerate((args.preset or "intermediate").split(",")):
+            config = preset_config(preset, k_sensors=args.k, n_antennas=max(n_list),
+                                   pd=args.pd, pf=args.pf, seed=args.seed)
+            deployments.append((preset, jammer_preset or "none",
+                                *montecarlo.draw_deployment(config, jammer_preset,
+                                                            [args.seed, pi])))
+    rows = montecarlo.sweep(deployments, grid, n_list, rules, args.trials,
+                            target_pf0=args.pf0, seed=args.seed, threads=args.threads)
     montecarlo.write_csv(rows, args.out)
     if args.plot_data:
         _write_plot_data(rows, args.plot_data)
@@ -199,27 +196,17 @@ def cmd_roc(args) -> int:
     levels = (tuple(float(x) for x in args.levels.split(","))
               if args.levels else montecarlo.DEFAULT_LEVELS)
     _check_sizes(args.trials, levels, args.threads)
-    jammer_preset = None if args.jammer == "none" else args.jammer
+    jammer_preset = _jammer_preset(args)
     rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed)
-    root = np.random.SeedSequence([args.seed, 0])
-    wsn_ss, jam_ss = root.spawn(2)
-    wsn = generate_wsn(config, np.random.default_rng(wsn_ss))
+    wsn, jammer = montecarlo.draw_deployment(config, jammer_preset, [args.seed, 0])
     wsn = wsn.with_(noise_power=float(db_to_lin(args.sigma_dbm)))
-    jammer = (generate_jammer(config, np.random.default_rng(jam_ss),
-                              preset=jammer_preset)
-              if jammer_preset is not None else None)
     engine = montecarlo.Engine(wsn, jammer=jammer, seed=args.seed,
                                threads=args.threads)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rule", "target_pf0", "gamma", "pf0", "pd0", "trials"])
-        for rule in rules:
-            for pt in montecarlo.roc_points(engine, rule, args.trials, levels):
-                writer.writerow([pt["rule"], repr(pt["target_pf0"]),
-                                 repr(pt["gamma"]), repr(pt["pf0"]),
-                                 repr(pt["pd0"]), pt["trials"]])
+    montecarlo.write_csv([pt for rule in rules
+                          for pt in montecarlo.roc_points(engine, rule, args.trials, levels)],
+                         args.out, columns=montecarlo.ROC_COLUMNS)
     print(f"# wrote {args.out}")
     return 0
 
@@ -247,7 +234,7 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
     results: list[tuple[str, bool, str]] = []
     seed = args.seed
     trials = args.trials
-    jammer_preset = None if args.jammer == "none" else args.jammer
+    jammer_preset = _jammer_preset(args)
     run_all = not (args.kappa_zero or args.is_assumption)
 
     def new_engine(wsn, jammer=None):
@@ -257,16 +244,11 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
     def deployment(preset, jam_preset=None, kappa_zero=False, ideal=False):
         config = preset_config(preset, k_sensors=args.k, n_antennas=args.n,
                                pd=args.pd, pf=args.pf, seed=seed)
-        root = np.random.SeedSequence([seed, 1])
-        wsn_ss, jam_ss = root.spawn(2)
-        wsn = generate_wsn(config, np.random.default_rng(wsn_ss))
+        wsn, jam = montecarlo.draw_deployment(config, jam_preset, [seed, 1])
         if kappa_zero:
             wsn = _force_kappa_zero(wsn)
         if ideal:
             wsn = _force_ideal(wsn)
-        jam = (generate_jammer(config, np.random.default_rng(jam_ss),
-                               preset=jam_preset)
-               if jam_preset is not None else None)
         return wsn, jam
 
     if args.kappa_zero or run_all:
@@ -391,11 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("run", help="performance sweep to CSV")
-    r.add_argument("--preset", default="intermediate",
-                   help="comma list of presets (los,intermediate,nlos)")
-    r.add_argument("--scenario", default=None, help="scenario file instead of preset")
+    r.add_argument("--preset", default=None,
+                   help="comma list of presets (los,intermediate,nlos; "
+                        "default intermediate)")
+    r.add_argument("--scenario", default=None,
+                   help="scenario file that fixes the deployment (no --preset/--jammer)")
     r.add_argument("--jammer", choices=["none", *sorted(JAMMER_PRESETS)],
-                   default="none")
+                   default=None)
     r.add_argument("--rules", default="is,nlos,igmm", help=RULES_HELP)
     r.add_argument("--sigma-grid", default="0", help="noise power dBm, start:step:stop")
     r.add_argument("--n", default="6", help="comma list of antenna counts")

@@ -27,7 +27,7 @@ from scipy.special import logsumexp
 
 from .scenario import JammerScenario, WsnScenario
 from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
-                           augment_batch, enumerate_decisions, second_order_char)
+                           enumerate_decisions, second_order_char)
 
 _HERM_RTOL = 1e-10
 _IMAG_TOL = 1e-10
@@ -178,7 +178,8 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     if np.all(rho10 == 0.0):
         raise DegenerateWeightsError(
             "identical transmit probabilities under both hypotheses")
-    a_aug = augment(ctx.scenario.a_tilde)
+    a = ctx.scenario.a_tilde
+    a_aug = np.vstack([a, a.conj()])
     inv = ctx.aug_inv1 if h else ctx.aug_inv0
     z = inv @ (a_aug @ rho10)
     n = ctx.scenario.n_antennas
@@ -187,7 +188,7 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     mismatch = np.abs(z[n:] - z[:n].conj()).max()
     if mismatch > 1e-8 * max(np.abs(z).max(), 1e-300):
         raise np.linalg.LinAlgError("widely-linear weight solve lost augmented structure")
-    z = np.concatenate([z[:n], z[:n].conj()])
+    z = augment(z[:n])
     norm = np.linalg.norm(z)
     if norm < 1e-150:
         raise DegenerateWeightsError(
@@ -211,7 +212,7 @@ def wl_rule(y, z: np.ndarray):
         raise ValueError("weight vector is not augmented-consistent")
     if y.shape[1] != n:
         raise ValueError(f"received vector length {y.shape[1]} != {n}")
-    vals = augment_batch(y) @ z.conj()
+    vals = augment(y) @ z.conj()
     imag_max = np.abs(vals.imag).max(initial=0.0)
     scale = max(np.abs(vals).max(initial=0.0), 1.0)
     if imag_max > _IMAG_TOL * scale:
@@ -230,7 +231,7 @@ def igmm_rule(y, ctx: RuleContext):
     Difference of Mahalanobis distances of the augmented vector under the
     two hypotheses' augmented covariances.
     """
-    ya = augment_batch(y)
+    ya = augment(y)
     d1 = ya - augment(ctx.char1.mean)[None, :]
     d0 = ya - augment(ctx.char0.mean)[None, :]
     return _quad_form_batch(d0, ctx.aug_inv0) - _quad_form_batch(d1, ctx.aug_inv1)

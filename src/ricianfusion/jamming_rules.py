@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from . import fusion_rules
 from .fusion_rules import RuleContext
 from .scenario import JammerScenario
-from .signal_model import H0, H1
+from .signal_model import H0, H1, augment
 
 _ROOT_IMAG_TOL = 1e-8
 _MERGE_RTOL = 1e-9
@@ -305,8 +305,7 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     per_h = []
     for i in (H0, H1):
         s = (y_s - ws.t_mean[i][None, :]) @ ws.u_j.conj()
-        s_aug = np.concatenate([s, s.conj()], axis=-1)
-        m_c = s_aug[:, ws.perm[2 * r:]]
+        m_c = augment(s)[:, ws.perm[2 * r:]]
         v = m_c @ ws.u_c[i].conj()
         v2 = np.abs(v) ** 2
         floors = ws.solvers[i].solve_batch(v2)

@@ -17,19 +17,23 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import fusion_rules, jamming_rules
-from .scenario import (JAMMER_PRESETS, JammerScenario, WsnScenario, db_to_lin,
-                       generate_jammer, generate_wsn, preset_config)
+from .scenario import (DeploymentConfig, JammerScenario, WsnScenario,
+                       db_to_lin, generate_jammer, generate_wsn)
 from .signal_model import H0, H1, draw_decisions, draw_jammed, draw_received
 
 BLOCK = 8192
 DEFAULT_LEVELS = (0.3, 0.1, 0.05, 0.02, 0.01)
 
+# Seed-stream roles: the H0 calibration sample and its fresh H0 check, the H1
+# detection sample, and the fresh H0/H1 samples an equivalence check compares.
+CALIBRATE, CHECK, DETECT, COMPARE_H0, COMPARE_H1 = range(5)
+
 CSV_COLUMNS = ("preset", "jammer", "rule", "sigma_w2_dbm", "n_antennas",
                "target_pf0", "gamma", "achieved_pf0", "pd0", "pd0_stderr",
                "trials", "seed")
+ROC_COLUMNS = ("rule", "target_pf0", "gamma", "pf0", "pd0", "trials")
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,13 @@ class Engine:
     several rules can share common random numbers without redrawing.
     """
 
-    def __init__(self, scenario: WsnScenario, ctx=None,
+    def __init__(self, scenario: WsnScenario,
                  jammer: JammerScenario | None = None,
                  seed: int = 0, block: int = BLOCK, threads: int = 1):
         if threads < 1:
             raise ValueError(f"need threads >= 1, got {threads}")
         self.scenario = scenario
-        self.ctx = ctx if ctx is not None else fusion_rules.make_context(scenario)
+        self.ctx = fusion_rules.make_context(scenario)
         self.jammer = jammer
         self._ws = None
         self.seed = int(seed)
@@ -179,8 +183,8 @@ class Engine:
         return self.eval(rule, self.sample(h, trials, stream))
 
 
-def calibrate_threshold(engine: Engine, rule, target_pf0: float, trials: int,
-                        streams: tuple[int, int] = (0, 1)) -> CalibratedTest:
+def calibrate_threshold(engine: Engine, rule, target_pf0: float,
+                        trials: int) -> CalibratedTest:
     """Empirical threshold at the target false-alarm rate.
 
     Requires trials >= 100 / target_pf0 so the upper tail is resolved by at
@@ -191,9 +195,9 @@ def calibrate_threshold(engine: Engine, rule, target_pf0: float, trials: int,
         raise ValueError(
             f"need trials >= {math.ceil(100.0 / target_pf0)} for target_pf0="
             f"{target_pf0}, got {trials}")
-    cal = engine.stats(rule, H0, trials, streams[0])
+    cal = engine.stats(rule, H0, trials, CALIBRATE)
     gamma = upper_quantile(cal, target_pf0)
-    chk = engine.stats(rule, H0, trials, streams[1])
+    chk = engine.stats(rule, H0, trials, CHECK)
     achieved = float(np.mean(chk > gamma))
     stderr = math.sqrt(max(achieved * (1.0 - achieved), 1e-300) / trials)
     ci = (max(achieved - 1.96 * stderr, 0.0), min(achieved + 1.96 * stderr, 1.0))
@@ -202,10 +206,9 @@ def calibrate_threshold(engine: Engine, rule, target_pf0: float, trials: int,
                           achieved_ci95=ci, trials=trials)
 
 
-def estimate_pd0(engine: Engine, test: CalibratedTest, trials: int,
-                 stream: int = 2) -> McEstimate:
+def estimate_pd0(engine: Engine, test: CalibratedTest, trials: int) -> McEstimate:
     """Detection probability of a calibrated test under H1."""
-    vals = engine.stats(test.rule, H1, trials, stream)
+    vals = engine.stats(test.rule, H1, trials, DETECT)
     p = float(np.mean(vals > test.gamma))
     return McEstimate(estimate=p,
                       stderr=math.sqrt(p * (1.0 - p) / trials),
@@ -213,8 +216,7 @@ def estimate_pd0(engine: Engine, test: CalibratedTest, trials: int,
 
 
 def equivalence_check(engine: Engine, rule_a, rule_b, trials: int,
-                      levels: tuple[float, ...] = DEFAULT_LEVELS,
-                      streams: tuple[int, int, int] = (0, 3, 4)) -> EquivalenceResult:
+                      levels: tuple[float, ...] = DEFAULT_LEVELS) -> EquivalenceResult:
     """Decision-level comparison of two rules under common random numbers.
 
     Thresholds for both rules are calibrated at matched quantiles of the
@@ -225,12 +227,14 @@ def equivalence_check(engine: Engine, rule_a, rule_b, trials: int,
       monotone-equivalent  orderings identical (Spearman rank corr. == 1)
       distinct             anything else
     """
+    from scipy.stats import spearmanr  # costly import, needed only here
+
     if trials < 100.0 / min(levels):
         raise ValueError(
             f"need trials >= {math.ceil(100.0 / min(levels))} for levels {levels}")
-    cal = engine.sample(H0, trials, streams[0])
-    ev0 = engine.sample(H0, trials, streams[1])
-    ev1 = engine.sample(H1, trials, streams[2])
+    cal = engine.sample(H0, trials, CALIBRATE)
+    ev0 = engine.sample(H0, trials, COMPARE_H0)
+    ev1 = engine.sample(H1, trials, COMPARE_H1)
     a_cal = engine.eval(rule_a, cal)
     b_cal = engine.eval(rule_b, cal)
     a_ev = np.concatenate([engine.eval(rule_a, ev0), engine.eval(rule_a, ev1)])
@@ -257,51 +261,40 @@ def _engine_seed(seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([seed, *indices]).generate_state(1)[0])
 
 
-def sweep(presets, sigma_w2_dbm, n_antennas, rules, trials: int,
-          target_pf0: float = 0.01, jammer_preset: str | None = None,
-          k_sensors: int = 14, pd: float = 0.5, pf: float = 0.05,
-          seed: int = 0, threads: int = 1, frozen=None):
+def draw_deployment(config: DeploymentConfig, jammer_preset: str | None, entropy):
+    """Draw a sensor deployment and, given a jammer preset, a jammer.
+
+    SeedSequence(entropy) spawns one seed for the sensors and one for the
+    jammer, so the sensors are the same with or without a jammer.  Returns
+    (wsn, jammer-or-None).
+    """
+    wsn_ss, jam_ss = np.random.SeedSequence(entropy).spawn(2)
+    # called by their montecarlo names, which the perfbench tracer and tests rebind
+    wsn = generate_wsn(config, np.random.default_rng(wsn_ss))
+    if jammer_preset is None:
+        return wsn, None
+    return wsn, generate_jammer(config, np.random.default_rng(jam_ss),
+                                preset=jammer_preset)
+
+
+def sweep(deployments, sigma_w2_dbm, n_antennas, rules, trials: int,
+          target_pf0: float = 0.01, seed: int = 0, threads: int = 1):
     """Detection-performance grid sweep.
 
-    One deployment (and jammer) is drawn per preset and frozen; the grid
-    then varies the antenna count and noise power, recomputing only derived
-    matrices.  All rules at one grid point share the same draws.  Returns a
-    list of row dicts in CSV_COLUMNS order (plus ``wall_time_s``).
-
-    ``frozen`` bypasses generation: a list of (label, wsn, jammer) tuples,
-    e.g. deployments loaded from a scenario file.
+    ``deployments`` holds (preset label, jammer label, wsn, jammer-or-None)
+    tuples; the grid varies each one's antenna count and noise power,
+    recomputing only derived matrices.  All rules at one grid point share the
+    same draws.  Returns a list of row dicts in CSV_COLUMNS order (plus
+    ``wall_time_s``).
     """
-    if isinstance(presets, str):
-        presets = [presets]
-    if jammer_preset is not None and jammer_preset not in JAMMER_PRESETS:
-        raise ValueError(
-            f"unknown jammer preset {jammer_preset!r}; choose from "
-            f"{sorted(JAMMER_PRESETS)} or None")
-    if frozen is None:
-        deployments = []
-        for pi, preset in enumerate(presets):
-            config = preset_config(preset, k_sensors=k_sensors,
-                                   n_antennas=max(n_antennas), pd=pd, pf=pf,
-                                   seed=seed)
-            root = np.random.SeedSequence([seed, pi])
-            wsn_ss, jam_ss = root.spawn(2)
-            wsn0 = generate_wsn(config, np.random.default_rng(wsn_ss))
-            jam0 = (generate_jammer(config, np.random.default_rng(jam_ss),
-                                    preset=jammer_preset)
-                    if jammer_preset is not None else None)
-            deployments.append((preset, wsn0, jam0))
-    else:
-        deployments = list(frozen)
     rows = []
-    for pi, (preset, wsn0, jam0) in enumerate(deployments):
-        jam_label = jammer_preset or ("custom" if jam0 is not None else "none")
+    for pi, (preset, jam_label, wsn0, jam0) in enumerate(deployments):
         for ni, n in enumerate(n_antennas):
             wsn_n = wsn0.with_(n_antennas=n)
             jam_n = jam0.with_(n_antennas=n) if jam0 is not None else None
             for si, s_dbm in enumerate(sigma_w2_dbm):
                 scenario = wsn_n.with_(noise_power=float(db_to_lin(s_dbm)))
-                ctx = fusion_rules.make_context(scenario)
-                engine = Engine(scenario, ctx, jam_n,
+                engine = Engine(scenario, jam_n,
                                 seed=_engine_seed(seed, pi, ni, si),
                                 threads=threads)
                 for rule in rules:
@@ -332,20 +325,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(rows, path) -> None:
-    """Write sweep rows with the exact public column set (no timing)."""
+def write_csv(rows, path, columns=CSV_COLUMNS) -> None:
+    """Write the given columns of each row; floats round-trip through repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+            writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def roc_points(engine: Engine, rule, trials: int, levels) -> list[dict]:
     """Empirical (Pf0, Pd0) pairs for one rule across threshold levels."""
-    h0 = engine.stats(rule, H0, trials, 0)
-    chk = engine.stats(rule, H0, trials, 1)
-    h1 = engine.stats(rule, H1, trials, 2)
+    h0 = engine.stats(rule, H0, trials, CALIBRATE)
+    chk = engine.stats(rule, H0, trials, CHECK)
+    h1 = engine.stats(rule, H1, trials, DETECT)
     out = []
     for level in levels:
         gamma = upper_quantile(h0, level)

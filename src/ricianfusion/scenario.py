@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -389,25 +389,7 @@ def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
 def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
                   jammer: JammerScenario | None = None) -> None:
     doc = {
-        "config": {
-            "k_sensors": config.k_sensors,
-            "n_antennas": config.n_antennas,
-            "r_min": config.r_min,
-            "r_max": config.r_max,
-            "path_loss_exponent": config.path_loss_exponent,
-            "shadow_mean_db": config.shadow_mean_db,
-            "shadow_std_db": config.shadow_std_db,
-            "rician_db": list(config.rician_db),
-            "pd": config.pd,
-            "pf": config.pf,
-            "noise_power": config.noise_power,
-            "jammer_rank": config.jammer_rank,
-            "jammer_shadow_mean_db": config.jammer_shadow_mean_db,
-            "jammer_shadow_std_db": config.jammer_shadow_std_db,
-            "jammer_rician_db": list(config.jammer_rician_db),
-            "signal_policy": config.signal_policy,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "wsn": {
             "noise_power": wsn.noise_power,
             "n_antennas": wsn.n_antennas,

@@ -98,17 +98,9 @@ def draw_jammed(scenario: WsnScenario, jammer: JammerScenario, x,
 
 
 def augment(a: np.ndarray) -> np.ndarray:
-    """Stack a with its conjugate: vectors (...,N)->(...,2N), matrices rows-wise."""
+    """Append the conjugate along the last axis: (..., N) -> (..., 2N)."""
     a = np.asarray(a)
-    if a.ndim == 2 and a.shape[0] != 1:
-        # matrix: stack row blocks [A; conj(A)] -- used for the channel matrix
-        return np.vstack([a, a.conj()])
     return np.concatenate([a, a.conj()], axis=-1)
-
-
-def augment_batch(y: np.ndarray) -> np.ndarray:
-    """Augment a (T, N) batch of received vectors to (T, 2N)."""
-    return np.concatenate([y, y.conj()], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def make_deployment(preset="intermediate", k=6, n=4, seed=0, jammer=None, **kw):
     config = rf.preset_config(preset, k_sensors=k, n_antennas=n, seed=seed, **kw)
-    root = np.random.SeedSequence([seed, 99])
-    wsn_ss, jam_ss = root.spawn(2)
-    wsn = rf.generate_wsn(config, np.random.default_rng(wsn_ss))
-    jam = (rf.generate_jammer(config, np.random.default_rng(jam_ss), preset=jammer)
-           if jammer is not None else None)
-    return wsn, jam
+    return rf.draw_deployment(config, jammer, [seed, 99])
 
 
 @pytest.fixture

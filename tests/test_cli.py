@@ -4,6 +4,8 @@ import csv
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ import pytest
 import ricianfusion as rf
 from ricianfusion import cli
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 # ------------------------------------------------------------ grid parsing
@@ -75,6 +77,7 @@ def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     (["--pf0", "0"], "must lie in (0, 1)"),
     (["--pf0", "1.5"], "must lie in (0, 1)"),
     (["--threads", "0"], "--threads >= 1"),
+    (["--rules", "bogus"], "unknown rule"),
 ])
 def test_run_validates_sizes_before_drawing_a_deployment(tmp_path, monkeypatch, capsys,
                                                          extra, message):
@@ -201,6 +204,32 @@ def test_run_from_scenario_file_uses_frozen_deployment(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--jammer", "los-jam"], ["--jammer", "none"],
+                                  ["--preset", "nlos"]])
+def test_run_from_scenario_file_rejects_deployment_flags(tmp_path, monkeypatch, capsys,
+                                                         flag):
+    def loaded(*args, **kwargs):
+        raise AssertionError("the scenario file was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_scenario", loaded)
+    rc = cli.main(["run", "--scenario", str(tmp_path / "plain.json"), "--rules", "nlos",
+                   *flag, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "the scenario file fixes the deployment" in capsys.readouterr().err
+
+
+def test_jam_rule_on_a_jammer_free_scenario_file_names_the_file(tmp_path, capsys):
+    scn = tmp_path / "plain.json"
+    assert cli.main(["generate", "--k", "4", "--n", "4", "--out", str(scn)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["run", "--scenario", str(scn), "--rules", "nlos,is-glrt",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "rule 'is-glrt' needs a jammer in the scenario file" in err
+    assert str(scn) in err
+
+
 def test_roc_writes_operating_points(tmp_path, capsys):
     out = tmp_path / "roc.csv"
     rc = cli.main(["roc", "--preset", "los", "--rules", "is,nlos", "--k", "4",
@@ -231,6 +260,14 @@ def test_negative_grid_start_needs_no_equals_sign(tmp_path, capsys):
     with open(outs[0]) as fh:
         assert [float(r["sigma_w2_dbm"]) for r in csv.DictReader(fh)] == [-10.0, -5.0]
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, ricianfusion.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ documentation

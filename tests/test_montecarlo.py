@@ -196,12 +196,40 @@ def test_equivalence_requires_enough_trials(small_wsn):
         rf.equivalence_check(eng, "is", "nlos", trials=2000)
 
 
+# ------------------------------------------------------------ deployments
+
+def test_draw_deployment_keeps_sensors_with_and_without_a_jammer():
+    config = rf.preset_config("los", k_sensors=5, n_antennas=4, seed=3)
+    plain, none = rf.draw_deployment(config, None, [3, 1])
+    jammed, jam = rf.draw_deployment(config, "los-jam", [3, 1])
+    assert none is None and jam is not None and jam.rank == config.jammer_rank
+    assert jammed.sensors == plain.sensors
+    other, _ = rf.draw_deployment(config, None, [3, 2])
+    assert other.sensors != plain.sensors
+
+
+def test_draw_deployment_rejects_unknown_jammer_preset():
+    config = rf.preset_config("los", k_sensors=4, n_antennas=4)
+    with pytest.raises(ValueError):
+        rf.draw_deployment(config, "loud", [0])
+
+
 # ------------------------------------------------------------ sweep / csv
 
+def preset_deployments(presets, k, n, seed, jammer=None):
+    """Labelled deployments drawn the way `ricianfusion run` draws them."""
+    out = []
+    for pi, preset in enumerate(presets):
+        config = rf.preset_config(preset, k_sensors=k, n_antennas=n, seed=seed)
+        out.append((preset, jammer or "none",
+                    *rf.draw_deployment(config, jammer, [seed, pi])))
+    return out
+
+
 def run_small_sweep(tmp_seed=11):
-    return rf.sweep(presets=["intermediate"], sigma_w2_dbm=(0.0, 5.0),
-                    n_antennas=(2, 3), rules=("is", "nlos"), trials=10_000,
-                    target_pf0=0.01, k_sensors=4, seed=tmp_seed)
+    return rf.sweep(preset_deployments(["intermediate"], k=4, n=3, seed=tmp_seed),
+                    sigma_w2_dbm=(0.0, 5.0), n_antennas=(2, 3), rules=("is", "nlos"),
+                    trials=10_000, target_pf0=0.01, seed=tmp_seed)
 
 
 def test_sweep_produces_one_row_per_grid_cell():
@@ -229,23 +257,17 @@ def test_sweep_is_deterministic_apart_from_timing():
 
 def test_sweep_accepts_frozen_deployments():
     wsn, jam = make_deployment(preset="los", k=4, n=4, seed=76, jammer="los-jam")
-    rows = rf.sweep(presets=[], sigma_w2_dbm=(0.0,), n_antennas=(4,),
-                    rules=("nlos-glrt",), trials=10_000, target_pf0=0.01,
-                    seed=3, frozen=[("stored", wsn, jam)])
+    rows = rf.sweep([("stored", "custom", wsn, jam)], sigma_w2_dbm=(0.0,),
+                    n_antennas=(4,), rules=("nlos-glrt",), trials=10_000,
+                    target_pf0=0.01, seed=3)
     assert len(rows) == 1
     assert rows[0]["preset"] == "stored"
     assert rows[0]["jammer"] == "custom"
 
 
-def test_sweep_rejects_unknown_jammer_preset():
-    with pytest.raises(ValueError):
-        rf.sweep(presets=["los"], sigma_w2_dbm=(0.0,), n_antennas=(4,),
-                 rules=("nlos",), trials=10_000, jammer_preset="loud")
-
-
 def test_sweep_empty_grid_writes_header_only(tmp_path):
-    rows = rf.sweep(presets=["los"], sigma_w2_dbm=(), n_antennas=(3,),
-                    rules=("nlos",), trials=10_000, k_sensors=4, seed=1)
+    rows = rf.sweep(preset_deployments(["los"], k=4, n=3, seed=1), sigma_w2_dbm=(),
+                    n_antennas=(3,), rules=("nlos",), trials=10_000, seed=1)
     assert rows == []
     path = tmp_path / "empty.csv"
     rf.write_csv(rows, path)
@@ -257,9 +279,9 @@ def test_sweep_empty_grid_writes_header_only(tmp_path):
 def test_sweep_single_cell_matches_direct_calibration():
     from ricianfusion.montecarlo import _engine_seed
     seed, s_dbm, n, trials, pf0 = 9, 2.0, 3, 10_000, 0.05
-    rows = rf.sweep(presets=["intermediate"], sigma_w2_dbm=(s_dbm,),
-                    n_antennas=(n,), rules=("is",), trials=trials,
-                    target_pf0=pf0, k_sensors=4, seed=seed)
+    rows = rf.sweep(preset_deployments(["intermediate"], k=4, n=n, seed=seed),
+                    sigma_w2_dbm=(s_dbm,), n_antennas=(n,), rules=("is",),
+                    trials=trials, target_pf0=pf0, seed=seed)
     assert len(rows) == 1
     # reproduce the sweep's deployment and engine seeding by hand
     config = rf.preset_config("intermediate", k_sensors=4, n_antennas=n,
@@ -278,9 +300,9 @@ def test_sweep_single_cell_matches_direct_calibration():
 
 def test_llr_detection_degrades_with_noise():
     grid = np.linspace(-6.0, 12.0, 10)
-    rows = rf.sweep(presets=["los"], sigma_w2_dbm=grid, n_antennas=(3,),
-                    rules=("llr",), trials=10_000, target_pf0=0.05,
-                    k_sensors=4, seed=5)
+    rows = rf.sweep(preset_deployments(["los"], k=4, n=3, seed=5), sigma_w2_dbm=grid,
+                    n_antennas=(3,), rules=("llr",), trials=10_000, target_pf0=0.05,
+                    seed=5)
     assert len(rows) == 10
     for lo, hi in zip(rows, rows[1:]):
         slack = 2.0 * math.hypot(lo["pd0_stderr"], hi["pd0_stderr"])

@@ -37,11 +37,12 @@ def test_enumerate_decisions_bit_layout():
 def test_augment_layout():
     v = np.array([1 + 2j, 3 - 1j])
     np.testing.assert_array_equal(rf.augment(v), [1 + 2j, 3 - 1j, 1 - 2j, 3 + 1j])
-    batch = np.array([[1j, 2.0], [0.5, -1j]])
-    np.testing.assert_array_equal(rf.augment_batch(batch),
-                                  np.concatenate([batch, batch.conj()], axis=1))
-    mat = np.arange(6, dtype=complex).reshape(3, 2) * (1 + 1j)
-    np.testing.assert_array_equal(rf.augment(mat), np.vstack([mat, mat.conj()]))
+    # a batch of any row count, one row included, is augmented row by row
+    for batch in (np.array([[1j, 2.0]]), np.array([[1j, 2.0], [0.5, -1j]]),
+                  np.arange(6, dtype=complex).reshape(3, 2) * (1 + 1j)):
+        got = rf.augment(batch)
+        assert got.shape == (batch.shape[0], 2 * batch.shape[1])
+        np.testing.assert_array_equal(got, [rf.augment(row) for row in batch])
 
 
 # ------------------------------------------------------------ decisions
