@@ -32,6 +32,9 @@ from .scenario import (JAMMER_PRESETS, PRESETS, db_to_lin, lin_to_db,
 from .signal_model import H1, MAX_ENUM_K
 
 SEED_ENV = "RICIANFUSION_SEED"
+# --k, --pd and --pf when a deployment is drawn; `run` leaves them None so that
+# a scenario file, which fixes them, can reject them
+SENSOR_DEFAULTS = {"k": 14, "pd": 0.5, "pf": 0.05}
 RULES_HELP = f"comma list of rules: {', '.join(RULES)}"
 # an option value with a leading minus sign, e.g. the grid -10:5:10
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
@@ -93,6 +96,17 @@ def _check_sizes(trials: int, levels, threads: int) -> None:
         raise UsageError(f"need --threads >= 1, got {threads}")
 
 
+def _prepare_outputs(out: str, plot_dir: str | None = None) -> None:
+    """Prove the outputs writable before any work, leaving ``out`` as it was."""
+    created = not os.path.exists(out)
+    with open(out, "a"):  # append mode truncates nothing
+        pass
+    if created:
+        os.remove(out)
+    if plot_dir:
+        os.makedirs(plot_dir, exist_ok=True)
+
+
 def _seed_default() -> int:
     raw = os.environ.get(SEED_ENV)
     if raw is None:
@@ -150,7 +164,6 @@ def cmd_generate(args) -> int:
 
 
 def _write_plot_data(rows, outdir) -> None:
-    os.makedirs(outdir, exist_ok=True)
     series = {}
     for row in rows:
         key = (row["preset"], row["jammer"], row["rule"], row["n_antennas"])
@@ -165,24 +178,30 @@ def cmd_run(args) -> int:
     _check_sizes(args.trials, (args.pf0,), args.threads)
     grid, n_list = parse_grid(args.sigma_grid), _parse_int_list(args.n)
     if args.scenario:
-        if args.jammer is not None or args.preset is not None:
-            raise UsageError("--jammer and --preset do not combine with --scenario: "
-                             "the scenario file fixes the deployment")
-        _, wsn, jammer = load_scenario(args.scenario)
+        if any(getattr(args, name) is not None
+               for name in ("preset", "jammer", *SENSOR_DEFAULTS)):
+            raise UsageError("--preset, --jammer, --k, --pd and --pf do not combine with "
+                             "--scenario: the scenario file fixes the deployment")
+        wsn, jammer = load_scenario(args.scenario)
         rules = _parse_rules(args.rules, wsn.k_sensors, jammer is not None,
                              f"a jammer in the scenario file {args.scenario}")
+        _prepare_outputs(args.out, args.plot_data)
         label = os.path.splitext(os.path.basename(args.scenario))[0]
         deployments = [(label, "none" if jammer is None else "custom", wsn, jammer)]
     else:
+        for name, value in SENSOR_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
         jammer_preset = _jammer_preset(args)
         rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
-        deployments = []
-        for pi, preset in enumerate((args.preset or "intermediate").split(",")):
-            config = preset_config(preset, k_sensors=args.k, n_antennas=max(n_list),
-                                   pd=args.pd, pf=args.pf, seed=args.seed)
-            deployments.append((preset, jammer_preset or "none",
-                                *montecarlo.draw_deployment(config, jammer_preset,
-                                                            [args.seed, pi])))
+        presets = (args.preset or "intermediate").split(",")
+        configs = [preset_config(preset, k_sensors=args.k, n_antennas=max(n_list),
+                                 pd=args.pd, pf=args.pf, seed=args.seed)
+                   for preset in presets]
+        _prepare_outputs(args.out, args.plot_data)
+        deployments = [(preset, jammer_preset or "none",
+                        *montecarlo.draw_deployment(config, jammer_preset, [args.seed, pi]))
+                       for pi, (preset, config) in enumerate(zip(presets, configs))]
     rows = montecarlo.sweep(deployments, grid, n_list, rules, args.trials,
                             target_pf0=args.pf0, seed=args.seed, threads=args.threads)
     montecarlo.write_csv(rows, args.out)
@@ -200,6 +219,7 @@ def cmd_roc(args) -> int:
     rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed)
+    _prepare_outputs(args.out)
     wsn, jammer = montecarlo.draw_deployment(config, jammer_preset, [args.seed, 0])
     wsn = wsn.with_(noise_power=float(db_to_lin(args.sigma_dbm)))
     engine = montecarlo.Engine(wsn, jammer=jammer, seed=args.seed,
@@ -352,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision-fusion detection-performance simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default="6"):
-        p.add_argument("--k", type=int, default=14, help="number of sensors")
-        p.add_argument("--pd", type=float, default=0.5)
-        p.add_argument("--pf", type=float, default=0.05)
+    def common(p, sensor_defaults=SENSOR_DEFAULTS):
+        p.add_argument("--k", type=int, default=sensor_defaults["k"],
+                       help="number of sensors")
+        p.add_argument("--pd", type=float, default=sensor_defaults["pd"])
+        p.add_argument("--pf", type=float, default=sensor_defaults["pf"])
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
         p.add_argument("--threads", type=int, default=1)
@@ -377,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of presets (los,intermediate,nlos; "
                         "default intermediate)")
     r.add_argument("--scenario", default=None,
-                   help="scenario file that fixes the deployment (no --preset/--jammer)")
+                   help="scenario file that fixes the deployment "
+                        "(no --preset/--jammer/--k/--pd/--pf)")
     r.add_argument("--jammer", choices=["none", *sorted(JAMMER_PRESETS)],
                    default=None)
     r.add_argument("--rules", default="is,nlos,igmm", help=RULES_HELP)
@@ -388,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.add_argument("--plot-data", default=None,
                    help="directory for per-rule plot series")
-    common(r)
+    common(r, sensor_defaults=dict.fromkeys(SENSOR_DEFAULTS))
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", help="equivalence/oracle self checks")

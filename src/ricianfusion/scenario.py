@@ -28,6 +28,19 @@ JAMMER_PRESETS = {
     "weak-los-jam": (-10.0, 10.0),
 }
 
+# The deployment recipe every preset shares: positions uniform in area over an
+# annulus around the receiver (radii in metres), power-law path loss
+# referenced to R_MIN, and log-normal shadowing given as (mean, std) of
+# 10*log10(xi) in dB -- the jammer's mean is the higher one.  NOISE_POWER is
+# the per-antenna noise variance (linear) a drawn scenario starts with;
+# sweeps override it.
+R_MIN = 100.0
+R_MAX = 1000.0
+PATH_LOSS_EXPONENT = 2.0
+SENSOR_SHADOW_DB = (15.0, 2.0)
+JAMMER_SHADOW_DB = (25.0, 2.0)
+NOISE_POWER = 1.0
+
 _RANK_RTOL = 1e-8  # smallest/largest singular value ratio for "full rank"
 
 
@@ -88,30 +101,19 @@ class SensorParams:
 
 @dataclass(frozen=True)
 class DeploymentConfig:
-    """Everything needed to (re)generate a random deployment.
+    """What varies between drawn deployments; the recipe itself is fixed.
 
-    Gains are on a dBm-scale log axis: shadowing draws 10*log10(xi) from a
-    normal with the given mean/std, and Rician factors draw kappa uniformly
-    in dB inside ``rician_db``.  ``noise_power`` is the per-antenna noise
-    variance (linear) attached to generated scenarios; sweeps override it.
+    Rician factors draw kappa uniformly in dB inside ``rician_db``; every
+    sensor gets the operating point (pd, pf).  Placement, path loss,
+    shadowing and the starting noise power are the module constants above.
     """
 
     k_sensors: int = 14
     n_antennas: int = 6
-    r_min: float = 100.0
-    r_max: float = 1000.0
-    path_loss_exponent: float = 2.0
-    shadow_mean_db: float = 15.0
-    shadow_std_db: float = 2.0
     rician_db: tuple[float, float] = (10.0, 20.0)
     pd: float = 0.5
     pf: float = 0.05
-    noise_power: float = 1.0
     jammer_rank: int = 2
-    jammer_shadow_mean_db: float = 25.0
-    jammer_shadow_std_db: float = 2.0
-    jammer_rician_db: tuple[float, float] = (10.0, 20.0)
-    signal_policy: str = "uniform-phase"
     seed: int = 0
 
     def __post_init__(self):
@@ -119,20 +121,12 @@ class DeploymentConfig:
             raise ValueError("k_sensors must be >= 1")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be positive")
         if not (0.0 <= self.pf <= self.pd <= 1.0):
             raise ValueError(f"need 0 <= pf <= pd <= 1, got pf={self.pf} pd={self.pd}")
         if self.rician_db[0] > self.rician_db[1]:
             raise ValueError("rician_db interval reversed")
-        if self.jammer_rician_db[0] > self.jammer_rician_db[1]:
-            raise ValueError("jammer_rician_db interval reversed")
         if self.jammer_rank < 1:
             raise ValueError("jammer_rank must be >= 1")
-        if self.signal_policy not in ("uniform-phase", "constant"):
-            raise ValueError(f"unknown signal policy {self.signal_policy!r}")
 
 
 def preset_config(preset: str, **overrides) -> DeploymentConfig:
@@ -155,7 +149,7 @@ def _lock(a: np.ndarray) -> np.ndarray:
 class WsnScenario:
     """A realized sensor deployment plus receiver geometry/noise.
 
-    Derived arrays (steering matrix, mean channel matrix, ...) are computed
+    Derived arrays (mean channel matrix, per-sensor vectors, ...) are computed
     once at construction and are read-only.  ``with_()`` re-derives them for
     a different antenna count or noise power while keeping the per-sensor
     parameters frozen -- that is how a sweep reuses one deployment across a
@@ -173,7 +167,6 @@ class WsnScenario:
     nu: np.ndarray = field(init=False, repr=False)
     pd: np.ndarray = field(init=False, repr=False)
     pf: np.ndarray = field(init=False, repr=False)
-    steering: np.ndarray = field(init=False, repr=False)
     a_tilde: np.ndarray = field(init=False, repr=False)
     mu_bar: np.ndarray = field(init=False, repr=False)
     nu_bar: float = field(init=False, repr=False)
@@ -196,7 +189,6 @@ class WsnScenario:
         set_(self, "pd", _lock(np.array([s.pd for s in sens])))
         set_(self, "pf", _lock(np.array([s.pf for s in sens])))
         a = np.stack([steering_vector(t, self.n_antennas) for t in self.theta], axis=1)
-        set_(self, "steering", _lock(a))
         # mean channel matrix: steering columns scaled by sqrt(beta)*b
         set_(self, "a_tilde", _lock(a * (np.sqrt(self.beta) * self.b)[None, :]))
         set_(self, "mu_bar", _lock(self.a_tilde.mean(axis=1)))
@@ -238,8 +230,6 @@ class JammerScenario:
     beta: np.ndarray
     kappa: np.ndarray
     n_antennas: int
-    signal_policy: str = "uniform-phase"
-    psi_const: np.ndarray | None = None
     positions: np.ndarray | None = None
     # derived
     b: np.ndarray = field(init=False, repr=False)
@@ -262,8 +252,6 @@ class JammerScenario:
         n = self.n_antennas
         if not (1 <= r < n):
             raise ValueError(f"jammer rank must satisfy 1 <= r < N, got r={r}, N={n}")
-        if self.signal_policy not in ("uniform-phase", "constant"):
-            raise ValueError(f"unknown signal policy {self.signal_policy!r}")
         set_(self, "phi", _lock(phi))
         set_(self, "beta", _lock(beta))
         set_(self, "kappa", _lock(kappa))
@@ -280,11 +268,6 @@ class JammerScenario:
         u_perp = u[:, r:]
         set_(self, "u_perp", _lock(u_perp))
         set_(self, "p_perp", _lock(u_perp @ u_perp.conj().T))
-        if self.psi_const is not None:
-            pc = np.asarray(self.psi_const, dtype=complex)
-            if pc.shape != (r,):
-                raise ValueError(f"psi_const must have shape ({r},)")
-            set_(self, "psi_const", _lock(pc))
         if self.positions is not None:
             set_(self, "positions", _lock(np.asarray(self.positions, dtype=float)))
 
@@ -306,8 +289,7 @@ class JammerScenario:
     def with_(self, n_antennas: int) -> "JammerScenario":
         return JammerScenario(
             phi=self.phi, beta=self.beta, kappa=self.kappa,
-            n_antennas=n_antennas, signal_policy=self.signal_policy,
-            psi_const=self.psi_const, positions=self.positions,
+            n_antennas=n_antennas, positions=self.positions,
         )
 
 
@@ -328,15 +310,14 @@ def generate_wsn(config: DeploymentConfig, rng: np.random.Generator) -> WsnScena
 
     Sensors fall uniformly on the annulus around the receiver (at the
     origin); large-scale gains combine log-normal shadowing with power-law
-    path loss referenced to r_min; Rician factors are uniform in dB inside
+    path loss referenced to R_MIN; Rician factors are uniform in dB inside
     the configured interval.  The bearing fed to the array is the planar
     angle between the sensor direction and the array axis, folded into
     [0, pi] (a linear array cannot tell mirror-image directions apart).
     """
     k = config.k_sensors
-    px, py, radii = _draw_annulus(rng, k, config.r_min, config.r_max)
-    beta = _draw_gains(rng, k, radii, config.r_min, config.path_loss_exponent,
-                       config.shadow_mean_db, config.shadow_std_db)
+    px, py, radii = _draw_annulus(rng, k, R_MIN, R_MAX)
+    beta = _draw_gains(rng, k, radii, R_MIN, PATH_LOSS_EXPONENT, *SENSOR_SHADOW_DB)
     kappa = db_to_lin(rng.uniform(config.rician_db[0], config.rician_db[1], size=k))
     theta = np.arccos(px / radii)
     sensors = tuple(
@@ -346,45 +327,39 @@ def generate_wsn(config: DeploymentConfig, rng: np.random.Generator) -> WsnScena
         for i in range(k)
     )
     return WsnScenario(sensors=sensors, n_antennas=config.n_antennas,
-                       noise_power=config.noise_power)
+                       noise_power=NOISE_POWER)
 
 
 def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
-                    preset: str | None = None) -> JammerScenario:
+                    preset: str) -> JammerScenario:
     """Draw a rank-r jammer with the same placement recipe as the sensors.
 
     Each of the r components gets its own position/gain/Rician factor; the
-    shadowing mean is the (higher) jammer one.  ``preset`` picks the Rician
-    interval from JAMMER_PRESETS, otherwise config.jammer_rician_db is used.
+    shadowing is the (stronger) jammer one, and ``preset`` picks the Rician
+    interval from JAMMER_PRESETS.
     """
-    if preset is not None:
-        try:
-            interval = JAMMER_PRESETS[preset]
-        except KeyError:
-            raise ValueError(
-                f"unknown jammer preset {preset!r}; choose from {sorted(JAMMER_PRESETS)}") from None
-    else:
-        interval = config.jammer_rician_db
+    try:
+        interval = JAMMER_PRESETS[preset]
+    except KeyError:
+        raise ValueError(
+            f"unknown jammer preset {preset!r}; choose from {sorted(JAMMER_PRESETS)}") from None
     r = config.jammer_rank
     if r >= config.n_antennas:
         raise ValueError(
             f"jammer rank {r} must be smaller than the antenna count {config.n_antennas}")
-    px, py, radii = _draw_annulus(rng, r, config.r_min, config.r_max)
-    beta = _draw_gains(rng, r, radii, config.r_min, config.path_loss_exponent,
-                       config.jammer_shadow_mean_db, config.jammer_shadow_std_db)
+    px, py, radii = _draw_annulus(rng, r, R_MIN, R_MAX)
+    beta = _draw_gains(rng, r, radii, R_MIN, PATH_LOSS_EXPONENT, *JAMMER_SHADOW_DB)
     kappa = db_to_lin(rng.uniform(interval[0], interval[1], size=r))
     phi = np.arccos(px / radii)
-    psi_const = np.ones(r, dtype=complex) if config.signal_policy == "constant" else None
     return JammerScenario(phi=phi, beta=beta, kappa=kappa,
                           n_antennas=config.n_antennas,
-                          signal_policy=config.signal_policy,
-                          psi_const=psi_const,
                           positions=np.stack([px, py], axis=1))
 
 
 # ---------------------------------------------------------------------------
 # scenario files: JSON with the raw parameters; derived matrices are always
-# recomputed on load so the stored file stays small and readable.
+# recomputed on load so the stored file stays small and readable.  The
+# "config" block records how the deployment was drawn; loading ignores it.
 
 def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
                   jammer: JammerScenario | None = None) -> None:
@@ -406,9 +381,6 @@ def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
             "phi": jammer.phi.tolist(),
             "beta": jammer.beta.tolist(),
             "kappa": jammer.kappa.tolist(),
-            "signal_policy": jammer.signal_policy,
-            "psi_const_re": None if jammer.psi_const is None else jammer.psi_const.real.tolist(),
-            "psi_const_im": None if jammer.psi_const is None else jammer.psi_const.imag.tolist(),
             "positions": None if jammer.positions is None else jammer.positions.tolist(),
         }
     with open(path, "w") as fh:
@@ -417,13 +389,14 @@ def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
 
 
 def load_scenario(path):
-    """Load a scenario file; returns (config, wsn, jammer-or-None)."""
+    """Load a scenario file; returns (wsn, jammer-or-None).
+
+    Keys this version does not read are ignored.  A jammer whose symbols are
+    not uniform-phase (files of older versions could hold a constant-symbol
+    jammer) is rejected.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc["config"]
-    cfg["rician_db"] = tuple(cfg["rician_db"])
-    cfg["jammer_rician_db"] = tuple(cfg["jammer_rician_db"])
-    config = DeploymentConfig(**cfg)
     w = doc["wsn"]
     sensors = tuple(
         SensorParams(position=tuple(w["positions"][i]), beta=w["beta"][i],
@@ -436,13 +409,13 @@ def load_scenario(path):
     jammer = None
     if "jammer" in doc:
         j = doc["jammer"]
-        psi_const = None
-        if j.get("psi_const_re") is not None:
-            psi_const = np.array(j["psi_const_re"]) + 1j * np.array(j["psi_const_im"])
+        if j.get("signal_policy", "uniform-phase") != "uniform-phase":
+            raise ValueError(f"scenario file {path}: jammer symbol policy "
+                             f"{j['signal_policy']!r} is not supported "
+                             "(only uniform-phase)")
         jammer = JammerScenario(
             phi=np.array(j["phi"]), beta=np.array(j["beta"]), kappa=np.array(j["kappa"]),
-            n_antennas=wsn.n_antennas, signal_policy=j["signal_policy"],
-            psi_const=psi_const,
+            n_antennas=wsn.n_antennas,
             positions=None if j.get("positions") is None else np.array(j["positions"]),
         )
-    return config, wsn, jammer
+    return wsn, jammer

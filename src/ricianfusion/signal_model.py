@@ -72,12 +72,8 @@ def draw_received(scenario: WsnScenario, x, rng: np.random.Generator) -> np.ndar
 
 
 def draw_psi(jammer: JammerScenario, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Jammer symbols for ``size`` trials according to the signal policy."""
-    r = jammer.rank
-    if jammer.signal_policy == "uniform-phase":
-        return np.exp(2j * np.pi * rng.random((size, r)))
-    psi = jammer.psi_const if jammer.psi_const is not None else np.ones(r, dtype=complex)
-    return np.broadcast_to(psi, (size, r)).copy()
+    """Unit-modulus jammer symbols with uniform phases, shape (size, r)."""
+    return np.exp(2j * np.pi * rng.random((size, jammer.rank)))
 
 
 def draw_jammed(scenario: WsnScenario, jammer: JammerScenario, x,

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, file outputs."""
 
 import csv
+import json
 import os
 import re
 import shlex
@@ -96,11 +97,33 @@ def test_bad_grid_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_unwritable_output_exits_3(tmp_path):
-    rc = cli.main(["run", "--rules", "nlos", "--k", "3", "--n", "2",
-                   "--trials", "2000", "--pf0", "0.05",
-                   "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
-    assert rc == 3
+def test_unwritable_output_exits_3(tmp_path, monkeypatch, capsys):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before the output was checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept\n")
+    small = ["--rules", "nlos", "--k", "3", "--n", "2", "--trials", "2000"]
+    for argv in (["run", *small, "--pf0", "0.05", "--out", missing],
+                 ["run", *small, "--pf0", "0.05", "--out", str(tmp_path / "x.csv"),
+                  "--plot-data", str(a_file / "plots")],
+                 ["roc", *small, "--levels", "0.1", "--out", missing]):
+        assert cli.main(argv) == 3, argv
+        assert "i/o error" in capsys.readouterr().err
+    assert a_file.read_text() == "kept\n"
+
+
+def test_usage_error_after_the_output_check_leaves_the_output_as_it_was(tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("kept\n")
+    for out in (kept, fresh):
+        # the jammer rank (2) is checked when the jammer is drawn, after --out
+        assert cli.main(["run", "--rules", "nlos", "--jammer", "los-jam", "--n", "2",
+                         "--out", str(out)]) == 2
+        assert "jammer rank 2" in capsys.readouterr().err
+    assert kept.read_text() == "kept\n" and not fresh.exists()
 
 
 def test_bad_subcommand_choice_exits_2():
@@ -150,10 +173,11 @@ def test_generate_prints_table_and_writes_scenario(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "sensor  theta_deg" in out and "jammer  phi_deg" in out
-    config, wsn, jam = rf.load_scenario(path)
+    wsn, jam = rf.load_scenario(path)
     assert wsn.k_sensors == 4 and wsn.n_antennas == 5
     assert jam is not None and jam.rank == 2
-    assert config.seed == 12
+    with open(path) as fh:
+        assert json.load(fh)["config"]["seed"] == 12
 
 
 def test_generate_kappa_zero_flag(tmp_path, capsys):
@@ -161,7 +185,7 @@ def test_generate_kappa_zero_flag(tmp_path, capsys):
     rc = cli.main(["generate", "--preset", "nlos", "--k", "3", "--n", "4",
                    "--kappa-zero", "--out", str(path)])
     assert rc == 0
-    _, wsn, _ = rf.load_scenario(path)
+    wsn, _ = rf.load_scenario(path)
     np.testing.assert_array_equal(wsn.kappa, np.zeros(3))
     capsys.readouterr()
 
@@ -205,7 +229,8 @@ def test_run_from_scenario_file_uses_frozen_deployment(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [["--jammer", "los-jam"], ["--jammer", "none"],
-                                  ["--preset", "nlos"]])
+                                  ["--preset", "nlos"], ["--k", "9"], ["--pd", "0.9"],
+                                  ["--pf", "0.1"]])
 def test_run_from_scenario_file_rejects_deployment_flags(tmp_path, monkeypatch, capsys,
                                                          flag):
     def loaded(*args, **kwargs):
@@ -273,10 +298,11 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 # ------------------------------------------------------------ documentation
 
 # appended to each README command to keep the test fast; argparse keeps the
-# last value given for an option
+# last value given for an option.  `run` gets a smaller K only where it draws
+# the deployment: a scenario file fixes K and rejects --k.
 README_OVERRIDES = {
     "generate": [],
-    "run": ["--trials", "1000", "--pf0", "0.1", "--k", "4"],
+    "run": ["--trials", "1000", "--pf0", "0.1"],
     "roc": ["--k", "4"],
     "verify": ["--trials", "10000"],
 }
@@ -299,7 +325,10 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
     assert [c[0] for c in commands] == ["generate", "run", "run", "roc", "verify", "verify"]
     for argv in commands:
-        rc = cli.main(argv + README_OVERRIDES[argv[0]])
+        extra = README_OVERRIDES[argv[0]]
+        if argv[0] == "run" and "--scenario" not in argv:
+            extra = extra + ["--k", "4"]
+        rc = cli.main(argv + extra)
         out, err = capsys.readouterr()
         assert rc == 0, (argv, out, err)
     assert os.path.exists("sweep.csv") and os.path.exists("jammed.csv")

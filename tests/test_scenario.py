@@ -1,5 +1,7 @@
 """Deployment generation: geometry, gain draws, presets, serialization."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import ricianfusion as rf
 from conftest import make_deployment
+from ricianfusion import cli, scenario
 
 
 # ---------------------------------------------------------------- steering
@@ -78,7 +81,7 @@ def test_generated_positions_stay_in_annulus_and_bearings_in_range(seed):
     wsn = rf.generate_wsn(config, np.random.default_rng(seed))
     pos = np.array([s.position for s in wsn.sensors])
     radii = np.linalg.norm(pos, axis=1)
-    assert np.all(radii >= config.r_min) and np.all(radii <= config.r_max)
+    assert np.all(radii >= scenario.R_MIN) and np.all(radii <= scenario.R_MAX)
     assert np.all(wsn.theta >= 0.0) and np.all(wsn.theta <= math.pi)
     # bearing is the planar angle of the position seen from the array axis
     np.testing.assert_allclose(np.cos(wsn.theta), pos[:, 0] / radii, atol=1e-12)
@@ -215,16 +218,19 @@ def test_scenario_file_round_trip(tmp_path, jammed_pair):
                               n_antennas=wsn.n_antennas, seed=23)
     path = tmp_path / "scenario.json"
     rf.save_scenario(path, config, wsn, jam)
-    config2, wsn2, jam2 = rf.load_scenario(path)
-    assert config2 == config
+    wsn2, jam2 = rf.load_scenario(path)
+    with open(path) as fh:
+        written = json.load(fh)["config"]
+    assert written == json.loads(json.dumps(dataclasses.asdict(config)))
     np.testing.assert_array_equal(wsn2.beta, wsn.beta)
     np.testing.assert_array_equal(wsn2.kappa, wsn.kappa)
     np.testing.assert_array_equal(wsn2.theta, wsn.theta)
     np.testing.assert_array_equal(wsn2.a_tilde, wsn.a_tilde)
     np.testing.assert_array_equal(jam2.phi, jam.phi)
     np.testing.assert_array_equal(jam2.beta, jam.beta)
+    np.testing.assert_array_equal(jam2.kappa, jam.kappa)
+    np.testing.assert_array_equal(jam2.positions, jam.positions)
     np.testing.assert_array_equal(jam2.p_perp, jam.p_perp)
-    assert jam2.signal_policy == jam.signal_policy
 
 
 def test_scenario_file_without_jammer(tmp_path, small_wsn):
@@ -232,6 +238,54 @@ def test_scenario_file_without_jammer(tmp_path, small_wsn):
                               n_antennas=small_wsn.n_antennas)
     path = tmp_path / "plain.json"
     rf.save_scenario(path, config, small_wsn, None)
-    _, wsn2, jam2 = rf.load_scenario(path)
+    wsn2, jam2 = rf.load_scenario(path)
     assert jam2 is None
     np.testing.assert_array_equal(wsn2.beta, small_wsn.beta)
+
+
+def _older_format_doc(wsn, jam, signal_policy="uniform-phase"):
+    """A scenario file in the layout of earlier versions: a 17-key config
+    block and jammer symbol-policy keys that loading no longer reads."""
+    return {
+        "config": {"k_sensors": wsn.k_sensors, "n_antennas": wsn.n_antennas,
+                   "r_min": 100.0, "r_max": 1000.0, "path_loss_exponent": 2.0,
+                   "shadow_mean_db": 15.0, "shadow_std_db": 2.0,
+                   "rician_db": [10.0, 20.0], "pd": 0.5, "pf": 0.05,
+                   "noise_power": 1.0, "jammer_rank": jam.rank,
+                   "jammer_shadow_mean_db": 25.0, "jammer_shadow_std_db": 2.0,
+                   "jammer_rician_db": [10.0, 20.0], "signal_policy": signal_policy,
+                   "seed": 23},
+        "wsn": {"noise_power": wsn.noise_power, "n_antennas": wsn.n_antennas,
+                "positions": [list(s.position) for s in wsn.sensors],
+                "beta": wsn.beta.tolist(), "kappa": wsn.kappa.tolist(),
+                "theta": wsn.theta.tolist(), "pd": wsn.pd.tolist(),
+                "pf": wsn.pf.tolist()},
+        "jammer": {"phi": jam.phi.tolist(), "beta": jam.beta.tolist(),
+                   "kappa": jam.kappa.tolist(), "signal_policy": signal_policy,
+                   "psi_const_re": [1.0] * jam.rank if signal_policy == "constant" else None,
+                   "psi_const_im": [0.0] * jam.rank if signal_policy == "constant" else None,
+                   "positions": jam.positions.tolist()},
+    }
+
+
+def test_older_format_scenario_file_loads_the_same_arrays(tmp_path, jammed_pair):
+    wsn, jam = jammed_pair
+    path = tmp_path / "older.json"
+    path.write_text(json.dumps(_older_format_doc(wsn, jam), indent=2, sort_keys=True))
+    wsn2, jam2 = rf.load_scenario(path)
+    for name in ("beta", "kappa", "theta", "pd", "pf", "a_tilde"):
+        np.testing.assert_array_equal(getattr(wsn2, name), getattr(wsn, name))
+    assert wsn2.noise_power == wsn.noise_power and wsn2.sensors == wsn.sensors
+    for name in ("phi", "beta", "kappa", "positions", "a_j", "p_perp"):
+        np.testing.assert_array_equal(getattr(jam2, name), getattr(jam, name))
+
+
+def test_constant_symbol_jammer_file_exits_2(tmp_path, jammed_pair, capsys):
+    wsn, jam = jammed_pair
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(_older_format_doc(wsn, jam, signal_policy="constant")))
+    rc = cli.main(["run", "--scenario", str(path), "--rules", "nlos",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'constant'" in err and str(path) in err

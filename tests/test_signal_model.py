@@ -148,14 +148,14 @@ def test_identical_operating_points_make_hypotheses_indistinguishable(small_wsn)
 
 # ------------------------------------------------------------ jammer draws
 
-def test_zero_jammer_symbols_reproduce_clean_channel(jammed_pair):
+def test_zero_jammer_symbols_reproduce_clean_channel(jammed_pair, monkeypatch):
     wsn, jam = jammed_pair
-    quiet = rf.JammerScenario(phi=jam.phi, beta=jam.beta, kappa=jam.kappa,
-                              n_antennas=jam.n_antennas, signal_policy="constant",
-                              psi_const=np.zeros(jam.rank, dtype=complex))
+    # draw_jammed looks draw_psi up when called: silence the jammer symbols
+    monkeypatch.setattr(rf.signal_model, "draw_psi",
+                        lambda jammer, rng, size: np.zeros((size, jammer.rank), complex))
     x = rf.draw_decisions(wsn, rf.H1, np.random.default_rng(3), size=32)
     y = rf.draw_received(wsn, x, np.random.default_rng(55))
-    y_s, psi = rf.draw_jammed(wsn, quiet, x, np.random.default_rng(55))
+    y_s, psi = rf.draw_jammed(wsn, jam, x, np.random.default_rng(55))
     np.testing.assert_array_equal(psi, np.zeros((32, jam.rank)))
     np.testing.assert_array_equal(y_s, y)
 
@@ -180,14 +180,13 @@ def test_uniform_phase_symbols_have_unit_modulus(jammed_pair):
     np.testing.assert_allclose(np.abs(psi), 1.0, atol=1e-12)
 
 
-def test_jammer_increment_moments_at_fixed_symbols(jammed_pair):
+def test_jammer_increment_moments_at_fixed_symbols(jammed_pair, monkeypatch):
     # hold the jammer symbols constant: the received-signal increment is a
     # mean shift through the mixing matrix plus white scattered leakage
-    wsn, jam = jammed_pair
-    psi0 = np.exp(2j * np.pi * np.random.default_rng(77).random(jam.rank))
-    fixed = rf.JammerScenario(phi=jam.phi, beta=jam.beta, kappa=jam.kappa,
-                              n_antennas=jam.n_antennas,
-                              signal_policy="constant", psi_const=psi0)
+    wsn, fixed = jammed_pair
+    psi0 = np.exp(2j * np.pi * np.random.default_rng(77).random(fixed.rank))
+    monkeypatch.setattr(rf.signal_model, "draw_psi",
+                        lambda jammer, rng, size: np.tile(psi0, (size, 1)))
     t = 100_000
     x = np.zeros((t, wsn.k_sensors))
     y = rf.draw_received(wsn, x, np.random.default_rng(808))
