@@ -20,9 +20,8 @@ from .fusion_rules import (FREE_RULES, JAM_RULES, RULES, DegenerateWeightsError,
                            igmm_rule, is_rule, llr, make_context, nlos_rule,
                            wl_rule, wl_weights)
 from .jamming_rules import (JammerWorkspace, SigmaPolySolver, build_workspace,
-                            evaluate_jam, igmm_glrt, is_glrt, jammer_permutation,
-                            nlos_glrt, nlos_piecewise_reference,
-                            solve_sigma_poly)
+                            evaluate_jam, igmm_glrt, is_glrt, nlos_glrt,
+                            nlos_piecewise_reference, solve_sigma_poly)
 from .montecarlo import (CSV_COLUMNS, DEFAULT_LEVELS, ROC_COLUMNS,
                          CalibratedTest, Engine, EquivalenceResult, McEstimate,
                          calibrate_threshold, draw_deployment,

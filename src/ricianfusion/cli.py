@@ -25,10 +25,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import fusion_rules, jamming_rules, montecarlo
+from . import jamming_rules, montecarlo
 from .fusion_rules import RULES
-from .scenario import (JAMMER_PRESETS, PRESETS, db_to_lin, lin_to_db,
-                       load_scenario, preset_config, save_scenario)
+from .scenario import (JAMMER_PRESETS, PRESETS, DeploymentConfig, db_to_lin,
+                       lin_to_db, load_scenario, preset_config, save_scenario)
 from .signal_model import H1, MAX_ENUM_K
 
 SEED_ENV = "RICIANFUSION_SEED"
@@ -84,8 +84,9 @@ def _parse_rules(text: str, k: int, jammed: bool,
     return rules
 
 
-def _check_sizes(trials: int, levels, threads: int) -> None:
-    """Reject false-alarm targets, trial and thread counts before any work."""
+def _check_sizes(trials: int, levels, threads: int, n_list,
+                 jammer_rank: int | None) -> None:
+    """Reject targets, trial, thread and antenna counts, and jammer ranks, before any work."""
     for level in levels:
         if not 0.0 < level < 1.0:
             raise UsageError(f"false-alarm target {level} must lie in (0, 1)")
@@ -94,6 +95,11 @@ def _check_sizes(trials: int, levels, threads: int) -> None:
                          f"for the false-alarm target {min(levels)}")
     if threads < 1:
         raise UsageError(f"need --threads >= 1, got {threads}")
+    if min(n_list) < 1:
+        raise UsageError(f"need antenna counts >= 1, got {min(n_list)}")
+    if jammer_rank is not None and jammer_rank >= min(n_list):
+        raise UsageError(f"jammer rank {jammer_rank} must be smaller than the "
+                         f"antenna count {min(n_list)}")
 
 
 def _prepare_outputs(out: str, plot_dir: str | None = None) -> None:
@@ -175,7 +181,6 @@ def _write_plot_data(rows, outdir) -> None:
 
 
 def cmd_run(args) -> int:
-    _check_sizes(args.trials, (args.pf0,), args.threads)
     grid, n_list = parse_grid(args.sigma_grid), _parse_int_list(args.n)
     if args.scenario:
         if any(getattr(args, name) is not None
@@ -185,6 +190,8 @@ def cmd_run(args) -> int:
         wsn, jammer = load_scenario(args.scenario)
         rules = _parse_rules(args.rules, wsn.k_sensors, jammer is not None,
                              f"a jammer in the scenario file {args.scenario}")
+        _check_sizes(args.trials, (args.pf0,), args.threads, n_list,
+                     None if jammer is None else jammer.rank)
         _prepare_outputs(args.out, args.plot_data)
         label = os.path.splitext(os.path.basename(args.scenario))[0]
         deployments = [(label, "none" if jammer is None else "custom", wsn, jammer)]
@@ -198,6 +205,8 @@ def cmd_run(args) -> int:
         configs = [preset_config(preset, k_sensors=args.k, n_antennas=max(n_list),
                                  pd=args.pd, pf=args.pf, seed=args.seed)
                    for preset in presets]
+        _check_sizes(args.trials, (args.pf0,), args.threads, n_list,
+                     configs[0].jammer_rank if jammer_preset else None)
         _prepare_outputs(args.out, args.plot_data)
         deployments = [(preset, jammer_preset or "none",
                         *montecarlo.draw_deployment(config, jammer_preset, [args.seed, pi]))
@@ -214,11 +223,12 @@ def cmd_run(args) -> int:
 def cmd_roc(args) -> int:
     levels = (tuple(float(x) for x in args.levels.split(","))
               if args.levels else montecarlo.DEFAULT_LEVELS)
-    _check_sizes(args.trials, levels, args.threads)
     jammer_preset = _jammer_preset(args)
     rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed)
+    _check_sizes(args.trials, levels, args.threads, (args.n,),
+                 config.jammer_rank if jammer_preset else None)
     _prepare_outputs(args.out)
     wsn, jammer = montecarlo.draw_deployment(config, jammer_preset, [args.seed, 0])
     wsn = wsn.with_(noise_power=float(db_to_lin(args.sigma_dbm)))
@@ -235,10 +245,9 @@ def cmd_roc(args) -> int:
 # verify battery
 
 
-def _check_equivalence(name, engine, rule_a, rule_b, trials, results,
-                       expect="equivalent"):
+def _check_equivalence(name, engine, rule_a, rule_b, trials, results):
     res = montecarlo.equivalence_check(engine, rule_a, rule_b, trials)
-    ok = res.verdict == expect
+    ok = res.verdict == "equivalent"
     results.append((name, ok,
                     f"{res.verdict} (spearman={res.spearman:.6f}, "
                     f"max_disagree={res.max_disagreement:.2e})"))
@@ -282,15 +291,16 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
         # negligible next to the equivalent noise, then is/igmm must agree
         # in ranking
         wsn, _ = deployment("nlos")
+        a_aug = np.vstack([wsn.a_tilde, wsn.a_tilde.conj()])
+        lam_min = float(np.linalg.eigvalsh(a_aug @ a_aug.conj().T)[0])
+        spread = max(float(np.max(r * (1 - r))) for r in (wsn.pf, wsn.pd))
+        noise = wsn.noise_power
         for _ in range(60):
-            ctx = fusion_rules.make_context(wsn)
-            a_aug = np.vstack([wsn.a_tilde, wsn.a_tilde.conj()])
-            lam_min = float(np.linalg.eigvalsh(a_aug @ a_aug.conj().T)[0])
-            spread = max(float(np.max(r * (1 - r))) for r in (wsn.pf, wsn.pd))
-            bound = 0.01 * min(ctx.char0.sigma_e2, ctx.char1.sigma_e2)
+            bound = 0.01 * min(float(wsn.nu @ rho + noise) for rho in (wsn.pf, wsn.pd))
             if spread * lam_min <= bound:
                 break
-            wsn = wsn.with_(noise_power=wsn.noise_power * 2.0)
+            noise *= 2.0
+        wsn = wsn.with_(noise_power=noise)
         res = montecarlo.equivalence_check(new_engine(wsn), "is", "igmm", trials)
         ok = res.spearman >= 0.999
         results.append(("lemma2-rankcorr", ok, f"spearman={res.spearman:.6f}"))
@@ -353,7 +363,9 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    _check_sizes(args.trials, montecarlo.DEFAULT_LEVELS, args.threads)
+    jammed = args.is_assumption or not args.kappa_zero  # all but --kappa-zero alone
+    _check_sizes(args.trials, montecarlo.DEFAULT_LEVELS, args.threads, (args.n,),
+                 DeploymentConfig.jammer_rank if jammed else None)
     results = _verify_battery(args)
     failed = 0
     for name, ok, detail in results:
@@ -372,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision-fusion detection-performance simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sensor_defaults=SENSOR_DEFAULTS):
+    def common(p, sensor_defaults=SENSOR_DEFAULTS, threads=True):
         p.add_argument("--k", type=int, default=sensor_defaults["k"],
                        help="number of sensors")
         p.add_argument("--pd", type=float, default=sensor_defaults["pd"])
         p.add_argument("--pf", type=float, default=sensor_defaults["pf"])
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
-        p.add_argument("--threads", type=int, default=1)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
 
     g = sub.add_parser("generate", help="draw and store a scenario")
     g.add_argument("--preset", choices=sorted(PRESETS), default="intermediate")
@@ -390,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kappa-zero", action="store_true",
                    help="force all Rician factors to zero")
     g.add_argument("--out", default=None, help="scenario file to write")
-    common(g)
+    common(g, threads=False)
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("run", help="performance sweep to CSV")

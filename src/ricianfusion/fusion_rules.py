@@ -10,10 +10,10 @@ Six statistics, all real-valued and all "large under H1":
   igmm  improper-Gaussian moment-matched quadratic statistic
 
 Every kernel maps a batch of received vectors (T, N) to a (T,) array.
-``RuleContext`` carries everything precomputable from the scenario alone so
-the per-trial work stays small.  ``RULES`` lists all ten statistics (these
-six and the four jammer-aware ones of ``jamming_rules``) with what each
-needs.
+``RuleContext`` carries the scenario's moments, inverse augmented
+covariances and mixture tables; the ``wl0``/``wl1`` kernels derive their
+weights from it per call.  ``RULES`` lists all ten statistics (these six
+and the four jammer-aware ones of ``jamming_rules``) with what each needs.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ class RuleContext:
     char1: SecondOrderChar
     aug_inv0: np.ndarray
     aug_inv1: np.ndarray
-    z_wl0: np.ndarray | None
-    z_wl1: np.ndarray | None
     llr_tables: _LlrTables | None
 
 
@@ -103,16 +101,10 @@ def make_context(scenario: WsnScenario) -> RuleContext:
     tables = None
     if scenario.k_sensors <= MAX_ENUM_K:
         tables = _build_llr_tables(scenario)
-    ctx = RuleContext(scenario=scenario, char0=char0, char1=char1,
-                      aug_inv0=_hermitian_inv(char0.aug_cov),
-                      aug_inv1=_hermitian_inv(char1.aug_cov),
-                      z_wl0=None, z_wl1=None, llr_tables=tables)
-    for i, name in ((H0, "z_wl0"), (H1, "z_wl1")):
-        try:
-            object.__setattr__(ctx, name, wl_weights(ctx, i))
-        except DegenerateWeightsError:
-            pass
-    return ctx
+    return RuleContext(scenario=scenario, char0=char0, char1=char1,
+                       aug_inv0=_hermitian_inv(char0.aug_cov),
+                       aug_inv1=_hermitian_inv(char1.aug_cov),
+                       llr_tables=tables)
 
 
 def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
@@ -171,8 +163,9 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     """Deflection-optimal widely-linear weights for hypothesis-h normalization.
 
     z = Sigma_aug(h)^{-1} A_aug (rho1 - rho0), normalized to unit length.
-    The direction is undefined when the two hypotheses have identical
-    transmit-probability vectors.
+    The direction is undefined (``DegenerateWeightsError``) when the two
+    hypotheses have identical transmit-probability vectors or the mean
+    channel matrix vanishes.
     """
     rho10 = ctx.char1.rho - ctx.char0.rho
     if np.all(rho10 == 0.0):
@@ -237,13 +230,6 @@ def igmm_rule(y, ctx: RuleContext):
     return _quad_form_batch(d0, ctx.aug_inv0) - _quad_form_batch(d1, ctx.aug_inv1)
 
 
-def _wl_statistic(y, ctx: RuleContext, h: int):
-    z = ctx.z_wl1 if h else ctx.z_wl0
-    if z is None:
-        raise DegenerateWeightsError("widely-linear weights undefined for this scenario")
-    return wl_rule(y, z)
-
-
 # The jammer-aware kernels build on RuleContext and llr above.
 from . import jamming_rules  # noqa: E402
 
@@ -267,8 +253,8 @@ RULES = {
     "llr": Rule(lambda y, ctx, jam, ws, psi: llr(y, ctx), enumerates=True),
     "is": Rule(lambda y, ctx, jam, ws, psi: is_rule(y, ctx)),
     "nlos": Rule(lambda y, ctx, jam, ws, psi: nlos_rule(y)),
-    "wl0": Rule(lambda y, ctx, jam, ws, psi: _wl_statistic(y, ctx, H0)),
-    "wl1": Rule(lambda y, ctx, jam, ws, psi: _wl_statistic(y, ctx, H1)),
+    "wl0": Rule(lambda y, ctx, jam, ws, psi: wl_rule(y, wl_weights(ctx, H0))),
+    "wl1": Rule(lambda y, ctx, jam, ws, psi: wl_rule(y, wl_weights(ctx, H1))),
     "igmm": Rule(lambda y, ctx, jam, ws, psi: igmm_rule(y, ctx)),
     "clairvoyant": Rule(lambda y, ctx, jam, ws, psi: llr(y, ctx, jam, psi),
                         jammer_aware=True, enumerates=True),

@@ -18,20 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from . import fusion_rules
 from .fusion_rules import RuleContext
 from .scenario import JammerScenario
-from .signal_model import H0, H1, augment
+from .signal_model import augment
 
 _ROOT_IMAG_TOL = 1e-8
 _MERGE_RTOL = 1e-9
-
-
-def _perp_energy(ys: np.ndarray, jammer: JammerScenario) -> np.ndarray:
-    r = ys @ jammer.p_perp.T
-    return np.sum(np.abs(r) ** 2, axis=1)
 
 
 def is_glrt(y_s, ctx: RuleContext, jammer: JammerScenario):
@@ -44,8 +40,8 @@ def is_glrt(y_s, ctx: RuleContext, jammer: JammerScenario):
     sc = ctx.scenario
     n = sc.n_antennas
     mu1 = sc.a_tilde.sum(axis=1)
-    n0 = _perp_energy(y_s, jammer)
-    n1 = _perp_energy(y_s - mu1[None, :], jammer)
+    n0 = nlos_glrt(y_s, jammer)
+    n1 = nlos_glrt(y_s - mu1[None, :], jammer)
     s0 = sc.noise_power
     s1 = float(sc.noise_power + sc.nu.sum())
     v0 = s0 + np.maximum(n0 / n - s0, 0.0)
@@ -55,7 +51,7 @@ def is_glrt(y_s, ctx: RuleContext, jammer: JammerScenario):
 
 def nlos_glrt(y_s, jammer: JammerScenario):
     """Energy in the interference-free subspace: ||P_perp y_s||^2."""
-    return _perp_energy(y_s, jammer)
+    return np.sum(np.abs(y_s @ jammer.p_perp.T) ** 2, axis=1)
 
 
 def nlos_piecewise_reference(r0_norm2, sigma_a2: float, sigma_b2: float, n: int):
@@ -82,19 +78,6 @@ def nlos_piecewise_reference(r0_norm2, sigma_a2: float, sigma_b2: float, n: int)
     low = n * np.log(sigma_a2 / sigma_b2) - e / sigma_b2 + e / sigma_a2
     out = np.select([avg < sigma_a2, avg < sigma_b2], [low, mid], default=0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def jammer_permutation(n: int, r: int) -> np.ndarray:
-    """Index permutation gathering jammer-subspace coordinates first.
-
-    Applied to an augmented 2N vector whose halves are expressed in the
-    jammer SVD basis, it brings the 2r interference coordinates to the top
-    and the 2(N-r) clean coordinates to the bottom.
-    """
-    if not (1 <= r < n):
-        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    return np.concatenate([np.arange(r), np.arange(n, n + r),
-                           np.arange(r, n), np.arange(n + r, 2 * n)])
 
 
 def _group_indices(values: np.ndarray):
@@ -168,19 +151,15 @@ class SigmaPolySolver:
         self.lambda_a = la
         self.lambda_c = lc
         self.scale = float(max(la.max(), lc.max(), 1e-300))
-        a = la / self.scale
-        c = lc / self.scale
-        self._a_vals, a_member = _group_indices(a)
+        self._a_vals, a_member = _group_indices(la / self.scale)
         self._a_cnts = a_member.sum(axis=1)
-        self._c_vals, self._c_member = _group_indices(c)
-        m = len(self._a_vals)
-        q = len(self._c_vals)
+        self._c_vals, self._c_member = _group_indices(lc / self.scale)
         a_factors = [np.array([av, 1.0]) for av in self._a_vals]
         a_full, a_without = _prods_without_one(a_factors)
         c_factors = [npoly.polymul(np.array([cv, 1.0]), np.array([cv, 1.0]))
                      for cv in self._c_vals]
         c_full, c_without = _prods_without_one(c_factors)
-        deg = (m - 1) + 2 * q
+        deg = (len(self._a_vals) - 1) + 2 * len(self._c_vals)
         lhs = np.zeros(deg + 1)
         for cnt, aw in zip(self._a_cnts, a_without):
             lhs += cnt * _pad(npoly.polymul(aw, c_full), deg + 1)
@@ -240,22 +219,17 @@ def solve_sigma_poly(lambda_a, lambda_c, v_abs2) -> float:
 
 @dataclass(frozen=True)
 class JammerWorkspace:
-    """Trial-independent machinery for the moment-matched subspace GLRT.
+    """Trial-independent machinery of the moment-matched subspace GLRT.
 
-    Everything here depends only on (scenario, jammer): the augmented basis
-    change into the jammer SVD coordinates, the permutation isolating the
-    clean coordinates, the clean-block eigensystems and the precompiled
-    floor solvers, one per hypothesis.
+    Depends only on (scenario, jammer) and holds what neither of them nor
+    the context holds: the indices of the 2(N-r) clean coordinates of an
+    augmented vector expressed in the jammer SVD basis, and per hypothesis
+    the eigenbasis of the clean covariance block and the precompiled floor
+    solver, which keeps both eigenvalue sets.
     """
 
-    n_antennas: int
-    rank: int
-    perm: np.ndarray
-    u_j: np.ndarray
-    t_mean: tuple[np.ndarray, np.ndarray]
-    lambda_a: tuple[np.ndarray, np.ndarray]
+    clean: np.ndarray
     u_c: tuple[np.ndarray, np.ndarray]
-    lambda_c: tuple[np.ndarray, np.ndarray]
     solvers: tuple[SigmaPolySolver, SigmaPolySolver]
 
 
@@ -265,29 +239,15 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
     if jammer.n_antennas != n:
         raise ValueError("jammer and scenario disagree on the antenna count")
     r = jammer.rank
-    uj = jammer.u_j
-    u_aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    u_aug[:n, :n] = uj
-    u_aug[n:, n:] = uj.conj()
-    perm = jammer_permutation(n, r)
-    t_mean, lam_a, u_c, lam_c, solvers = [], [], [], [], []
+    clean = np.r_[r:n, n + r:2 * n]
+    u_aug = scipy.linalg.block_diag(jammer.u_j, jammer.u_j.conj())
+    u_c, solvers = [], []
     for char in (ctx.char0, ctx.char1):
         s_a = u_aug.conj().T @ char.aug_cov @ u_aug
-        la = np.linalg.eigvalsh(s_a)
-        s_perm = s_a[np.ix_(perm, perm)]
-        s_c = s_perm[2 * r:, 2 * r:]
-        lc, uc = np.linalg.eigh(s_c)
-        lc = np.maximum(lc, 0.0)
-        t_mean.append(char.mean)
-        lam_a.append(la)
+        lc, uc = np.linalg.eigh(s_a[np.ix_(clean, clean)])
         u_c.append(uc)
-        lam_c.append(lc)
-        solvers.append(SigmaPolySolver(la, lc))
-    return JammerWorkspace(
-        n_antennas=n, rank=r, perm=perm, u_j=uj,
-        t_mean=tuple(t_mean), lambda_a=tuple(lam_a), u_c=tuple(u_c),
-        lambda_c=tuple(lam_c),
-        solvers=tuple(solvers))
+        solvers.append(SigmaPolySolver(np.linalg.eigvalsh(s_a), np.maximum(lc, 0.0)))
+    return JammerWorkspace(clean=clean, u_c=tuple(u_c), solvers=tuple(solvers))
 
 
 def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
@@ -301,16 +261,13 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     """
     if ws is None:
         ws = build_workspace(ctx, jammer)
-    r = ws.rank
     per_h = []
-    for i in (H0, H1):
-        s = (y_s - ws.t_mean[i][None, :]) @ ws.u_j.conj()
-        m_c = augment(s)[:, ws.perm[2 * r:]]
-        v = m_c @ ws.u_c[i].conj()
-        v2 = np.abs(v) ** 2
-        floors = ws.solvers[i].solve_batch(v2)
-        logdet = np.sum(np.log(ws.lambda_a[i][None, :] + floors[:, None]), axis=1)
-        quad = np.sum(v2 / (ws.lambda_c[i][None, :] + floors[:, None]), axis=1)
+    for char, uc, solver in zip((ctx.char0, ctx.char1), ws.u_c, ws.solvers):
+        s = (y_s - char.mean[None, :]) @ jammer.u_j.conj()
+        v2 = np.abs(augment(s)[:, ws.clean] @ uc.conj()) ** 2
+        floors = solver.solve_batch(v2)
+        logdet = np.sum(np.log(solver.lambda_a[None, :] + floors[:, None]), axis=1)
+        quad = np.sum(v2 / (solver.lambda_c[None, :] + floors[:, None]), axis=1)
         per_h.append((logdet, quad))
     return (-0.5 * (per_h[1][0] - per_h[0][0])
             - 0.5 * (per_h[1][1] - per_h[0][1]))

@@ -79,6 +79,8 @@ def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     (["--pf0", "1.5"], "must lie in (0, 1)"),
     (["--threads", "0"], "--threads >= 1"),
     (["--rules", "bogus"], "unknown rule"),
+    (["--jammer", "los-jam", "--n", "6,2"], "jammer rank 2 must be smaller"),
+    (["--n", "6,0"], "antenna counts >= 1"),
 ])
 def test_run_validates_sizes_before_drawing_a_deployment(tmp_path, monkeypatch, capsys,
                                                          extra, message):
@@ -89,6 +91,47 @@ def test_run_validates_sizes_before_drawing_a_deployment(tmp_path, monkeypatch, 
     rc = cli.main(["run", "--rules", "nlos", *extra, "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roc", "--jammer", "los-jam", "--n", "2", "--out", "x.csv"],
+    ["verify", "--n", "2"],
+    ["verify", "--is-assumption", "--n", "2"],
+])
+def test_roc_and_verify_check_the_jammer_rank_before_drawing(tmp_path, monkeypatch,
+                                                             capsys, argv):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before the inputs were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    assert cli.main(argv) == 2
+    assert "jammer rank 2 must be smaller than the antenna count 2" in capsys.readouterr().err
+    assert not os.path.exists("x.csv")
+
+
+def test_scenario_jammer_rank_is_checked_against_every_antenna_count(tmp_path, capsys):
+    scenario = str(tmp_path / "s.json")
+    assert cli.main(["generate", "--k", "3", "--n", "4", "--jammer", "los-jam",
+                     "--r", "2", "--out", scenario]) == 0
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--scenario", scenario, "--rules", "nlos-glrt", "--n", "4,2",
+                     "--trials", "1000", "--pf0", "0.1", "--out", str(out)]) == 2
+    assert "jammer rank 2 must be smaller" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_kappa_zero_draws_no_jammer_and_accepts_two_antennas(capsys):
+    assert cli.main(["verify", "--kappa-zero", "--k", "3", "--n", "2",
+                     "--trials", "10000"]) == 0
+    assert "# 2/2 checks passed" in capsys.readouterr().out
+
+
+def test_generate_takes_no_threads_option():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--threads", "0"])
+    assert exc.value.code == 2
 
 
 def test_bad_grid_exits_2(tmp_path):
@@ -119,10 +162,12 @@ def test_usage_error_after_the_output_check_leaves_the_output_as_it_was(tmp_path
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("kept\n")
     for out in (kept, fresh):
-        # the jammer rank (2) is checked when the jammer is drawn, after --out
-        assert cli.main(["run", "--rules", "nlos", "--jammer", "los-jam", "--n", "2",
+        # pd = pf leaves the widely-linear direction undefined, which only the
+        # evaluation of the rule finds out, after --out was checked
+        assert cli.main(["run", "--rules", "wl0", "--pd", "0.3", "--pf", "0.3",
+                         "--k", "4", "--trials", "1000", "--pf0", "0.1",
                          "--out", str(out)]) == 2
-        assert "jammer rank 2" in capsys.readouterr().err
+        assert "identical transmit probabilities" in capsys.readouterr().err
     assert kept.read_text() == "kept\n" and not fresh.exists()
 
 
@@ -383,3 +428,18 @@ def test_verify_ideal_sensor_battery_passes(capsys):
     for name in ("lemma3-igmm-is", "wl-pair", "lemma3-llr-is",
                  "jam-lemma-igmm-is-glrt"):
         assert f"{name}: pass" in out
+
+
+def test_verify_full_battery_passes(capsys):
+    # no battery flag: every check, including lemma2, the subspace-GLRT
+    # reductions (igmm-glrt without a prebuilt workspace), the projector and
+    # the floor-solver oracle
+    rc = cli.main(["verify", "--k", "6", "--n", "4", "--trials", "10000", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    for name in ("lemma1-is-nlos", "lemma1-igmm-nlos", "lemma2-rankcorr",
+                 "lemma3-igmm-is", "wl-pair", "lemma3-llr-is", "jam-lemma-igmm-is-glrt",
+                 "piecewise-is-glrt", "piecewise-igmm-glrt", "projector",
+                 "sigma-poly-oracle"):
+        assert f"{name}: pass" in out
+    assert "# 11/11 checks passed" in out

@@ -142,7 +142,7 @@ def test_zero_and_unit_inputs_hit_closed_form_values(small_ctx):
     np.testing.assert_array_equal(rf.is_rule(zero, small_ctx), [0.0])
     np.testing.assert_array_equal(rf.nlos_rule(zero), [0.0])
     np.testing.assert_array_equal(rf.nlos_rule(np.ones((1, n), dtype=complex)), [n])
-    np.testing.assert_array_equal(rf.wl_rule(zero, small_ctx.z_wl0), [0.0])
+    np.testing.assert_array_equal(rf.wl_rule(zero, rf.wl_weights(small_ctx, 0)), [0.0])
 
 
 def test_zero_rician_factors_make_is_proportional_to_energy(small_wsn):
@@ -186,7 +186,7 @@ def deflection(z, ctx, h):
 
 @pytest.mark.parametrize("h", [0, 1])
 def test_wl_weights_maximize_deflection_over_random_probes(small_ctx, h):
-    z_opt = small_ctx.z_wl1 if h else small_ctx.z_wl0
+    z_opt = rf.wl_weights(small_ctx, h)
     best = deflection(z_opt, small_ctx, h)
     rng = np.random.default_rng(100 + h)
     n = small_ctx.scenario.n_antennas
@@ -200,8 +200,8 @@ def test_wl_weights_maximize_deflection_over_random_probes(small_ctx, h):
 
 
 def test_wl_weights_are_unit_norm(small_ctx):
-    assert np.linalg.norm(small_ctx.z_wl0) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(small_ctx.z_wl1) == pytest.approx(1.0, rel=1e-12)
+    for h in (0, 1):
+        assert np.linalg.norm(rf.wl_weights(small_ctx, h)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_wl_statistic_with_basis_weights_reads_twice_the_real_part(small_ctx):
@@ -218,7 +218,7 @@ def test_wl_statistic_is_real_linear(small_ctx):
     rng = np.random.default_rng(14)
     n = small_ctx.scenario.n_antennas
     y1, y2 = rf.crandn(rng, (1, n)), rf.crandn(rng, (1, n))
-    z = small_ctx.z_wl0
+    z = rf.wl_weights(small_ctx, 0)
     s = lambda y: rf.wl_rule(y, z)
     assert s(y1 + y2) == pytest.approx(s(y1) + s(y2), rel=1e-10, abs=1e-12)
     assert s(2.5 * y1) == pytest.approx(2.5 * s(y1), rel=1e-12)
@@ -239,14 +239,18 @@ def test_wl_weights_degenerate_when_hypotheses_coincide(small_wsn):
         sensors=tuple(replace(s, pd=0.4, pf=0.4) for s in small_wsn.sensors),
         n_antennas=small_wsn.n_antennas, noise_power=small_wsn.noise_power)
     ctx = rf.make_context(same)
-    assert ctx.z_wl0 is None and ctx.z_wl1 is None
-    with pytest.raises(rf.DegenerateWeightsError):
-        rf.evaluate("wl0", np.zeros((1, small_wsn.n_antennas), dtype=complex), ctx)
+    for h, rule in ((0, "wl0"), (1, "wl1")):
+        with pytest.raises(rf.DegenerateWeightsError, match="identical transmit"):
+            rf.wl_weights(ctx, h)
+        with pytest.raises(rf.DegenerateWeightsError):
+            rf.evaluate(rule, np.zeros((1, small_wsn.n_antennas), dtype=complex), ctx)
 
 
 def test_wl_weights_degenerate_without_any_los(small_wsn):
     ctx = rf.make_context(force_kappa_zero(small_wsn))
-    assert ctx.z_wl0 is None and ctx.z_wl1 is None
+    for h in (0, 1):
+        with pytest.raises(rf.DegenerateWeightsError, match="vanishes"):
+            rf.wl_weights(ctx, h)
 
 
 # ------------------------------------------------------------------- igmm

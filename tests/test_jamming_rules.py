@@ -6,7 +6,6 @@ from scipy.optimize import minimize_scalar
 
 import ricianfusion as rf
 from dataclasses import replace
-from ricianfusion.jamming_rules import _perp_energy  # noqa: F401  (sanity import)
 from conftest import force_ideal, force_kappa_zero, make_deployment
 from test_fusion_rules import iid_pmf, mp_mixture_llr
 
@@ -139,18 +138,6 @@ def test_floor_solver_validation():
         solver.solve_batch(np.array([1.0, 2.0]))
 
 
-# ------------------------------------------------------------------ permutation
-
-def test_jammer_permutation_gathers_subspace_coordinates_first():
-    n, r = 5, 2
-    perm = rf.jammer_permutation(n, r)
-    # halves of the augmented vector: [0..n) raw, [n..2n) conjugated
-    np.testing.assert_array_equal(perm[:2 * r], [0, 1, 5, 6])
-    np.testing.assert_array_equal(np.sort(perm), np.arange(2 * n))
-    with pytest.raises(ValueError):
-        rf.jammer_permutation(3, 3)
-
-
 # ------------------------------------------------------------------ piecewise
 
 def test_piecewise_reference_branches_and_continuity():
@@ -181,13 +168,20 @@ def test_workspace_invariants(jammed_pair):
     ctx = rf.make_context(wsn)
     ws = rf.build_workspace(ctx, jam)
     n, r = wsn.n_antennas, jam.rank
-    assert ws.rank == r and ws.n_antennas == n
+    # halves of the augmented vector: [0..n) raw, [n..2n) conjugated; the
+    # first r coordinates of each half carry the jammer
+    np.testing.assert_array_equal(ws.clean, [*range(r, n), *range(n + r, 2 * n)])
+    # rotated as igmm_glrt rotates a measurement, the jammer's mixing columns
+    # leave nothing in the clean coordinates
+    rotated = rf.augment(jam.a_j.T @ jam.u_j.conj())
+    np.testing.assert_allclose(rotated[:, ws.clean], 0.0, atol=1e-12 * np.abs(rotated).max())
     for i, char in enumerate((ctx.char0, ctx.char1)):
+        solver = ws.solvers[i]
         # basis change preserves the spectrum of the augmented covariance
-        np.testing.assert_allclose(ws.lambda_a[i],
+        np.testing.assert_allclose(solver.lambda_a,
                                    np.linalg.eigvalsh(char.aug_cov), atol=1e-8)
-        assert ws.lambda_c[i].shape == (2 * (n - r),)
-        assert ws.lambda_c[i].min() >= 0.0
+        assert solver.lambda_c.shape == (2 * (n - r),)
+        assert solver.lambda_c.min() >= 0.0
         uc = ws.u_c[i]        # eigenbasis of the clean block
         np.testing.assert_allclose(uc.conj().T @ uc, np.eye(2 * (n - r)), atol=1e-10)
     mismatched = rf.make_context(wsn.with_(n_antennas=n + 1))
