@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import jamming_rules, montecarlo
-from .fusion_rules import RULES
+from .fusion_rules import RULES, SAME_RATES
 from .scenario import (JAMMER_PRESETS, PRESETS, DeploymentConfig, db_to_lin,
                        lin_to_db, load_scenario, preset_config, save_scenario)
 from .signal_model import H1, MAX_ENUM_K
@@ -68,12 +68,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer list {text!r}") from None
 
 
-def _parse_rules(text: str, k: int, jammed: bool,
+def _parse_rules(text: str, k: int, jammed: bool, same_rates: bool,
                  jammer_source: str = "--jammer") -> tuple[str, ...]:
     rules = tuple(r.strip() for r in text.split(",") if r.strip())
     for r in rules:
         if r not in RULES:
             raise UsageError(f"unknown rule {r!r}; choose from {', '.join(RULES)}")
+        if RULES[r].needs_rate_gap and same_rates:
+            raise UsageError(f"rule {r!r} is undefined: {SAME_RATES}")
         if RULES[r].enumerates and k > MAX_ENUM_K:
             raise UsageError(
                 f"rule {r!r} enumerates 2^K terms and needs K <= {MAX_ENUM_K}")
@@ -82,6 +84,15 @@ def _parse_rules(text: str, k: int, jammed: bool,
     if not rules:
         raise UsageError("no rules given")
     return rules
+
+
+def _check_antennas(n_list, jammer_rank: int | None) -> None:
+    """Reject antenna counts below 1 or not above the jammer rank."""
+    if min(n_list) < 1:
+        raise UsageError(f"need antenna counts >= 1, got {min(n_list)}")
+    if jammer_rank is not None and jammer_rank >= min(n_list):
+        raise UsageError(f"jammer rank {jammer_rank} must be smaller than the "
+                         f"antenna count {min(n_list)}")
 
 
 def _check_sizes(trials: int, levels, threads: int, n_list,
@@ -95,11 +106,7 @@ def _check_sizes(trials: int, levels, threads: int, n_list,
                          f"for the false-alarm target {min(levels)}")
     if threads < 1:
         raise UsageError(f"need --threads >= 1, got {threads}")
-    if min(n_list) < 1:
-        raise UsageError(f"need antenna counts >= 1, got {min(n_list)}")
-    if jammer_rank is not None and jammer_rank >= min(n_list):
-        raise UsageError(f"jammer rank {jammer_rank} must be smaller than the "
-                         f"antenna count {min(n_list)}")
+    _check_antennas(n_list, jammer_rank)
 
 
 def _prepare_outputs(out: str, plot_dir: str | None = None) -> None:
@@ -146,7 +153,9 @@ def cmd_generate(args) -> int:
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed,
                            jammer_rank=args.r)
-    wsn, jammer = montecarlo.draw_deployment(config, _jammer_preset(args), [args.seed])
+    jammer_preset = _jammer_preset(args)
+    _check_antennas((args.n,), args.r if jammer_preset else None)
+    wsn, jammer = montecarlo.draw_deployment(config, jammer_preset, [args.seed])
     if args.kappa_zero:
         wsn = _force_kappa_zero(wsn)
     if args.out:
@@ -189,6 +198,7 @@ def cmd_run(args) -> int:
                              "--scenario: the scenario file fixes the deployment")
         wsn, jammer = load_scenario(args.scenario)
         rules = _parse_rules(args.rules, wsn.k_sensors, jammer is not None,
+                             bool(np.all(wsn.pd == wsn.pf)),
                              f"a jammer in the scenario file {args.scenario}")
         _check_sizes(args.trials, (args.pf0,), args.threads, n_list,
                      None if jammer is None else jammer.rank)
@@ -200,7 +210,8 @@ def cmd_run(args) -> int:
             if getattr(args, name) is None:
                 setattr(args, name, value)
         jammer_preset = _jammer_preset(args)
-        rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
+        rules = _parse_rules(args.rules, args.k, jammer_preset is not None,
+                             args.pd == args.pf)
         presets = (args.preset or "intermediate").split(",")
         configs = [preset_config(preset, k_sensors=args.k, n_antennas=max(n_list),
                                  pd=args.pd, pf=args.pf, seed=args.seed)
@@ -224,7 +235,8 @@ def cmd_roc(args) -> int:
     levels = (tuple(float(x) for x in args.levels.split(","))
               if args.levels else montecarlo.DEFAULT_LEVELS)
     jammer_preset = _jammer_preset(args)
-    rules = _parse_rules(args.rules, args.k, jammer_preset is not None)
+    rules = _parse_rules(args.rules, args.k, jammer_preset is not None,
+                         args.pd == args.pf)
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed)
     _check_sizes(args.trials, levels, args.threads, (args.n,),

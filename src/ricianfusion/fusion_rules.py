@@ -31,6 +31,8 @@ from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
 
 _HERM_RTOL = 1e-10
 _IMAG_TOL = 1e-10
+# why a widely-linear rule has no weight direction when pd = pf everywhere
+SAME_RATES = "identical transmit probabilities under both hypotheses"
 
 
 class UnsupportedSizeError(ValueError):
@@ -169,8 +171,7 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     """
     rho10 = ctx.char1.rho - ctx.char0.rho
     if np.all(rho10 == 0.0):
-        raise DegenerateWeightsError(
-            "identical transmit probabilities under both hypotheses")
+        raise DegenerateWeightsError(SAME_RATES)
     a = ctx.scenario.a_tilde
     a_aug = np.vstack([a, a.conj()])
     inv = ctx.aug_inv1 if h else ctx.aug_inv0
@@ -247,14 +248,17 @@ class Rule:
     jammer_aware: bool = False  # evaluated through jamming_rules.evaluate_jam
     needs_jammer: bool = False  # undefined without a jammer scenario
     enumerates: bool = False    # sums 2^K mixture terms, so K <= MAX_ENUM_K
+    needs_rate_gap: bool = False  # undefined when every sensor has pd = pf
 
 
 RULES = {
     "llr": Rule(lambda y, ctx, jam, ws, psi: llr(y, ctx), enumerates=True),
     "is": Rule(lambda y, ctx, jam, ws, psi: is_rule(y, ctx)),
     "nlos": Rule(lambda y, ctx, jam, ws, psi: nlos_rule(y)),
-    "wl0": Rule(lambda y, ctx, jam, ws, psi: wl_rule(y, wl_weights(ctx, H0))),
-    "wl1": Rule(lambda y, ctx, jam, ws, psi: wl_rule(y, wl_weights(ctx, H1))),
+    "wl0": Rule(lambda y, ctx, jam, ws, psi: wl_rule(y, wl_weights(ctx, H0)),
+                needs_rate_gap=True),
+    "wl1": Rule(lambda y, ctx, jam, ws, psi: wl_rule(y, wl_weights(ctx, H1)),
+                needs_rate_gap=True),
     "igmm": Rule(lambda y, ctx, jam, ws, psi: igmm_rule(y, ctx)),
     "clairvoyant": Rule(lambda y, ctx, jam, ws, psi: llr(y, ctx, jam, psi),
                         jammer_aware=True, enumerates=True),

@@ -8,9 +8,10 @@
   igmm-glrt    improper-Gaussian moment-matched GLRT with the same
                projection/ML-floor treatment in augmented coordinates
 
-The residual-floor ML step reduces to the nonnegative real roots of a fixed
-polynomial whose coefficients depend on the trial only through the rotated
-measurement energies; ``SigmaPolySolver`` precompiles everything else.
+The residual-floor ML step maximises a one-dimensional concentrated
+log-likelihood that depends on the trial only through the rotated
+measurement energies; ``SigmaPolySolver`` finds that maximum by a certified
+bracket search over all trials of a batch at once.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial import polynomial as npoly
 
 from . import fusion_rules
 from .fusion_rules import RuleContext
 from .scenario import JammerScenario
 from .signal_model import augment
 
-_ROOT_IMAG_TOL = 1e-8
-_MERGE_RTOL = 1e-9
+_LEVELS = 60  # halvings of [0, S], and bisection steps on a concave piece
 
 
 def is_glrt(y_s, ctx: RuleContext, jammer: JammerScenario):
@@ -80,63 +79,23 @@ def nlos_piecewise_reference(r0_norm2, sigma_a2: float, sigma_b2: float, n: int)
     return float(out) if out.ndim == 0 else out
 
 
-def _group_indices(values: np.ndarray):
-    """Sorted group representatives and a membership matrix (groups x raw)."""
-    order = np.argsort(values)
-    v = values[order]
-    reps = []
-    member = np.zeros(len(values), dtype=int)
-    i = 0
-    g = 0
-    while i < len(v):
-        j = i + 1
-        while j < len(v) and v[j] - v[i] <= _MERGE_RTOL * (1.0 + abs(v[i])):
-            j += 1
-        reps.append(v[i:j].mean())
-        member[order[i:j]] = g
-        i = j
-        g += 1
-    mat = np.zeros((g, len(values)))
-    mat[member, np.arange(len(values))] = 1.0
-    return np.array(reps), mat
-
-
-def _prods_without_one(factors: list[np.ndarray]):
-    """Full product and the leave-one-out products of coefficient arrays."""
-    n = len(factors)
-    pre = [np.array([1.0])]
-    for f in factors:
-        pre.append(npoly.polymul(pre[-1], f))
-    suf = [np.array([1.0])] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = npoly.polymul(factors[i], suf[i + 1])
-    full = pre[n]
-    without = [npoly.polymul(pre[i], suf[i + 1]) for i in range(n)]
-    return full, without
-
-
-def _pad(coeffs: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length)
-    out[:len(coeffs)] = coeffs
-    return out
-
-
 class SigmaPolySolver:
     """ML estimator of the residual interference floor sigma_j^2.
 
     The concentrated log-likelihood for floor s >= 0 is
 
-        L(s) = -1/2 sum_n log(lambda_a[n] + s) - 1/2 sum_l v2[l] / (lambda_c[l] + s)
+        L(s) = -sum_n log(lambda_a[n] + s) - sum_l v2[l] / (lambda_c[l] + s)
 
-    (additive constants dropped).  Stationary points satisfy
-
-        sum_n 1/(lambda_a[n] + s) = sum_l v2[l] / (lambda_c[l] + s)^2,
-
-    which after merging repeated eigenvalues and clearing denominators is a
-    polynomial with trial-independent structure; only the weights v2 move.
-    Roots come from companion-matrix eigenvalues; candidates are the
-    nonnegative real roots plus the boundary s = 0, and ties prefer the
-    smaller floor.
+    (constants dropped).  L' = P - Q and L'' = U - R, where P = sum v2/(c+s)^2,
+    Q = sum 1/(a+s), U = sum 1/(a+s)^2 and R = 2 sum v2/(c+s)^3 are positive
+    and decrease in s, so their values at the ends of a piece [lo, hi] bound
+    them on it.  No stationary point lies beyond
+    S = (W + sqrt(W^2 + 4 M W max a)) / 2M (W = sum v2, M = len(a)).
+    [0, S] is halved until each piece is certified: where L' keeps one sign
+    or L is convex the maximum is an end, where L is concave bisection on
+    the sign of L' finds it.  The ends, s = 0 and S are compared by L; ties
+    go to the smaller floor.  The name survives from a solver that took the
+    roots of a polynomial, because ``perfbench`` traces the class by name.
     """
 
     def __init__(self, lambda_a: np.ndarray, lambda_c: np.ndarray):
@@ -150,25 +109,20 @@ class SigmaPolySolver:
             raise ValueError("eigenvalues must be nonnegative")
         self.lambda_a = la
         self.lambda_c = lc
-        self.scale = float(max(la.max(), lc.max(), 1e-300))
-        self._a_vals, a_member = _group_indices(la / self.scale)
-        self._a_cnts = a_member.sum(axis=1)
-        self._c_vals, self._c_member = _group_indices(lc / self.scale)
-        a_factors = [np.array([av, 1.0]) for av in self._a_vals]
-        a_full, a_without = _prods_without_one(a_factors)
-        c_factors = [npoly.polymul(np.array([cv, 1.0]), np.array([cv, 1.0]))
-                     for cv in self._c_vals]
-        c_full, c_without = _prods_without_one(c_factors)
-        deg = (len(self._a_vals) - 1) + 2 * len(self._c_vals)
-        lhs = np.zeros(deg + 1)
-        for cnt, aw in zip(self._a_cnts, a_without):
-            lhs += cnt * _pad(npoly.polymul(aw, c_full), deg + 1)
-        g_cols = [
-            _pad(npoly.polymul(a_full, cw), deg + 1) for cw in c_without
-        ]
-        self._deg = deg
-        self._lhs = lhs
-        self._g = np.stack(g_cols, axis=1)  # (deg+1, Q)
+
+    def loglik(self, v_abs2: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """L at floor s[i] for the energies in row i of v_abs2."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (-np.sum(np.log(self.lambda_a + s[:, None]), axis=1)
+                    - np.sum(v_abs2 / (self.lambda_c + s[:, None]), axis=1))
+
+    def _sums(self, v, s):
+        """(P, Q, U, R) at floor s[i] for the energies in row i of v."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ia = 1.0 / (self.lambda_a + s[:, None])
+            ic = 1.0 / (self.lambda_c + s[:, None])
+            vc = v * ic * ic
+            return vc.sum(axis=1), ia.sum(axis=1), (ia * ia).sum(axis=1), 2 * (vc * ic).sum(axis=1)
 
     def solve_batch(self, v_abs2: np.ndarray) -> np.ndarray:
         """ML floors for (T, len(lambda_c)) rotated measurement energies."""
@@ -177,38 +131,40 @@ class SigmaPolySolver:
             raise ValueError("expected (T, len(lambda_c)) energies")
         if np.any(v < 0) or np.any(~np.isfinite(v)):
             raise ValueError("squared magnitudes must be finite and nonnegative")
-        t = v.shape[0]
-        w = (v / self.scale) @ self._c_member.T
-        coeffs = self._lhs[None, :] - w @ self._g.T  # (T, deg+1) ascending
-        deg = self._deg
-        out = np.empty(t)
-        sub = (np.arange(1, deg), np.arange(deg - 1))
-        chunk = max(1, (1 << 22) // max(deg * deg, 1))
-        for lo in range(0, t, chunk):
-            hi = min(lo + chunk, t)
-            blk = hi - lo
-            comp = np.zeros((blk, deg, deg))
-            desc = coeffs[lo:hi, ::-1]
-            comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-            comp[:, sub[0], sub[1]] = 1.0
-            roots = np.linalg.eigvals(comp)
-            keep = np.abs(roots.imag) <= _ROOT_IMAG_TOL * (1.0 + np.abs(roots))
-            keep &= roots.real > 0.0
-            # candidates per row, ascending, boundary 0 first; rejected roots
-            # park at +inf where the log-likelihood is -inf
-            re = np.sort(np.where(keep, roots.real, np.inf), axis=1)
-            cands = np.concatenate([np.zeros((blk, 1)), re], axis=1)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                logdet = np.log(self._a_vals[None, None, :]
-                                + cands[:, :, None]) @ self._a_cnts
-                quad = np.sum(w[lo:hi, None, :]
-                              / (self._c_vals[None, None, :] + cands[:, :, None]),
-                              axis=-1)
-            loglik = -logdet - quad
-            # first argmax <=> smallest floor on exact ties
-            idx = np.argmax(loglik, axis=1)
-            out[lo:hi] = cands[np.arange(blk), idx] * self.scale
-        return out
+        t, m, w = v.shape[0], self.lambda_a.size, v.sum(axis=1)
+        row, lo = np.arange(t), np.zeros(t)
+        hi = (w + np.sqrt(w * w + 4.0 * m * w * self.lambda_a.max())) / (2.0 * m)
+        ends, concave = [(row, lo), (row, hi)], []
+        for _ in range(_LEVELS):
+            p_lo, q_lo, u_lo, r_lo = self._sums(v[row], lo)
+            p_hi, q_hi, u_hi, r_hi = self._sums(v[row], hi)
+            # an empty piece (S = 0) is done even where a sum is 0 * inf
+            done = (hi <= lo) | (p_lo <= q_hi) | (p_hi >= q_lo) | (u_hi >= r_lo)
+            # L' decreases on a concave piece: bisect it where L' changes sign
+            bent = ~done & (u_lo <= r_hi)
+            root = bent & (p_lo > q_lo) & (p_hi < q_hi)
+            done |= bent & ~root
+            ends += [(row[done], lo[done]), (row[done], hi[done])]
+            concave.append((row[root], lo[root], hi[root]))
+            split = ~done & ~root
+            row, lo, hi = row[split], lo[split], hi[split]
+            if not row.size:
+                break
+            mid = 0.5 * (lo + hi)
+            row, lo, hi = np.r_[row, row], np.r_[lo, mid], np.r_[mid, hi]
+        ends += [(row, lo), (row, hi)]
+        row, lo, hi = (np.concatenate(a) for a in zip(*concave))
+        vr = v[row]
+        for _ in range(_LEVELS):
+            mid = 0.5 * (lo + hi)
+            p, q = self._sums(vr, mid)[:2]
+            lo, hi = np.where(p > q, mid, lo), np.where(p > q, hi, mid)
+        ends += [(row, lo), (row, hi)]
+        row, s = (np.concatenate(a) for a in zip(*ends))
+        # per row, the largest L first and the smaller floor on a tie
+        order = np.lexsort((s, -self.loglik(v[row], s), row))
+        _, first = np.unique(row[order], return_index=True)
+        return s[order[first]]
 
 
 def solve_sigma_poly(lambda_a, lambda_c, v_abs2) -> float:
@@ -261,16 +217,12 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     """
     if ws is None:
         ws = build_workspace(ctx, jammer)
-    per_h = []
+    loglik = []
     for char, uc, solver in zip((ctx.char0, ctx.char1), ws.u_c, ws.solvers):
         s = (y_s - char.mean[None, :]) @ jammer.u_j.conj()
         v2 = np.abs(augment(s)[:, ws.clean] @ uc.conj()) ** 2
-        floors = solver.solve_batch(v2)
-        logdet = np.sum(np.log(solver.lambda_a[None, :] + floors[:, None]), axis=1)
-        quad = np.sum(v2 / (solver.lambda_c[None, :] + floors[:, None]), axis=1)
-        per_h.append((logdet, quad))
-    return (-0.5 * (per_h[1][0] - per_h[0][0])
-            - 0.5 * (per_h[1][1] - per_h[0][1]))
+        loglik.append(solver.loglik(v2, solver.solve_batch(v2)))
+    return 0.5 * (loglik[1] - loglik[0])
 
 
 def evaluate_jam(rule: str, y_s, ctx: RuleContext, jammer: JammerScenario | None,

@@ -128,6 +128,17 @@ def test_verify_kappa_zero_draws_no_jammer_and_accepts_two_antennas(capsys):
     assert "# 2/2 checks passed" in capsys.readouterr().out
 
 
+def test_generate_checks_the_jammer_rank_before_drawing(tmp_path, monkeypatch, capsys):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before the inputs were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    out = tmp_path / "s.json"
+    assert cli.main(["generate", "--jammer", "los-jam", "--n", "2", "--out", str(out)]) == 2
+    assert "jammer rank 2 must be smaller than the antenna count 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_takes_no_threads_option():
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--threads", "0"])
@@ -159,16 +170,42 @@ def test_unwritable_output_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_usage_error_after_the_output_check_leaves_the_output_as_it_was(tmp_path, capsys):
+    scenario = str(tmp_path / "kz.json")
+    assert cli.main(["generate", "--kappa-zero", "--k", "4", "--n", "4",
+                     "--out", scenario]) == 0
+    capsys.readouterr()
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("kept\n")
     for out in (kept, fresh):
-        # pd = pf leaves the widely-linear direction undefined, which only the
-        # evaluation of the rule finds out, after --out was checked
-        assert cli.main(["run", "--rules", "wl0", "--pd", "0.3", "--pf", "0.3",
-                         "--k", "4", "--trials", "1000", "--pf0", "0.1",
-                         "--out", str(out)]) == 2
-        assert "identical transmit probabilities" in capsys.readouterr().err
+        # with no line-of-sight component the widely-linear direction
+        # vanishes, which only the evaluation of the rule finds out, after
+        # --out was checked
+        assert cli.main(["run", "--scenario", scenario, "--rules", "wl0",
+                         "--trials", "1000", "--pf0", "0.1", "--out", str(out)]) == 2
+        assert "weight direction vanishes" in capsys.readouterr().err
     assert kept.read_text() == "kept\n" and not fresh.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--rules", "nlos,wl0", "--pd", "0.3", "--pf", "0.3"],
+    ["roc", "--rules", "wl1", "--pd", "0.3", "--pf", "0.3"],
+    ["run", "--scenario", "same.json", "--rules", "wl0", "--trials", "1000", "--pf0", "0.1"],
+])
+def test_widely_linear_rule_with_pd_equal_to_pf_exits_2_before_drawing(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--k", "3", "--n", "2", "--pd", "0.3", "--pf", "0.3",
+                     "--out", "same.json"]) == 0
+    capsys.readouterr()
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment or trials were drawn before the rules were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    monkeypatch.setattr(cli.montecarlo, "sweep", drawn)
+    assert cli.main(argv + ["--out", "x.csv"]) == 2
+    assert "is undefined: identical transmit probabilities" in capsys.readouterr().err
+    assert not os.path.exists("x.csv")
 
 
 def test_bad_subcommand_choice_exits_2():

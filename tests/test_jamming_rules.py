@@ -20,7 +20,8 @@ def grid_refine_floor(la, lc, v2):
     """Independent maximizer of the concentrated log-likelihood.
 
     Dense log grid over a generous range, then bounded scalar refinement
-    around the best grid point.  Shares no code with the polynomial solver.
+    around the best grid point.  Shares no code with the bracket search of
+    ``SigmaPolySolver``: it never looks at the slope or the curvature of L.
     """
     hi = 1e3 * max(la.max(), lc.max(), v2.max(), 1.0)
     grid = np.concatenate([[0.0], np.geomspace(1e-9, hi, 6000)])
@@ -86,6 +87,8 @@ def test_floor_solver_known_answers():
     assert rf.solve_sigma_poly(la, lc, np.zeros(4)) == 0.0
     # tiny energies: optimum stays at the boundary
     assert rf.solve_sigma_poly(la, lc, np.full(4, 1e-6)) == 0.0
+    # no energy on a zero clean eigenvalue: [0, S] is a single point
+    assert rf.solve_sigma_poly(np.array([0.5, 1.0]), np.array([0.0, 2.0]), np.zeros(2)) == 0.0
 
 
 def test_floor_solver_scale_equivariance():
@@ -99,15 +102,64 @@ def test_floor_solver_scale_equivariance():
         assert scaled == pytest.approx(c * base, rel=1e-8, abs=1e-12)
 
 
-def test_floor_solver_merges_near_equal_eigenvalues():
+def test_floor_solver_handles_near_equal_eigenvalues():
     la = np.array([1.0, 1.0 + 1e-12, 3.0, 3.0, 3.0 - 1e-12, 7.0])
     lc = np.array([2.0, 2.0 + 1e-13, 5.0])
     solver = rf.SigmaPolySolver(la, lc)
-    assert len(solver._a_vals) == 3 and len(solver._c_vals) == 2
     v2 = np.array([30.0, 11.0, 60.0])
     s = solver.solve_batch(v2[None, :])[0]
     _, l_ref = grid_refine_floor(la, lc, v2)
     assert profile_loglik(la, lc, v2, [s])[0] >= l_ref - 1e-6
+
+
+def slope_sign_changes(la, lc, v2, grid):
+    """Sign changes of dL/ds over a grid of floors."""
+    s = grid[:, None]
+    slope = np.sum(v2 / (lc + s) ** 2, axis=1) - np.sum(1.0 / (la + s), axis=1)
+    return int(np.count_nonzero(np.diff(np.sign(slope))))
+
+
+def test_floor_solver_at_folds_and_boundary_optima():
+    # one small clean eigenvalue with little energy and three large ones with
+    # much: as v2 = t * v0 grows, a local maximum and a local minimum of L
+    # appear or merge.  Bisecting t on the number of slope sign changes puts
+    # v2 on such a fold, where the slope has a near-double root.
+    rng = np.random.default_rng(907)
+    grid = np.r_[0.0, np.geomspace(1e-4, 1e5, 4000)]
+    ts = np.geomspace(1e-2, 1e1, 100)
+    folds = boundary = 0
+    worst = 0.0
+    for _ in range(8):
+        la = 10 ** rng.uniform(-0.5, 0.5, size=8)
+        lc = 10 ** np.r_[rng.uniform(-2.5, -1.5), rng.uniform(1.5, 2.5, size=3)]
+        v0 = 10 ** np.r_[-4.0, rng.uniform(3.5, 4.5, size=3)]
+
+        def changes(t):
+            return slope_sign_changes(la, lc, t * v0, grid)
+
+        counts = np.array([changes(t) for t in ts])
+        cases = [1e-3 * ts[0] * v0]          # L decreases throughout
+        for k in np.flatnonzero(np.abs(np.diff(counts)) == 2):
+            # t_in keeps the extra pair of stationary points, t_out lacks it
+            pair = k if counts[k] > counts[k + 1] else k + 1
+            t_in, t_out = ts[pair], ts[2 * k + 1 - pair]
+            for _ in range(60):
+                t_mid = np.sqrt(t_in * t_out)
+                if changes(t_mid) == counts[pair]:
+                    t_in = t_mid
+                else:
+                    t_out = t_mid
+            cases += [t_in * v0, t_out * v0]
+            folds += 1
+        for v2 in cases:
+            s = rf.solve_sigma_poly(la, lc, v2)
+            s_ref, l_ref = grid_refine_floor(la, lc, v2)
+            worst = max(worst, l_ref - profile_loglik(la, lc, v2, [s])[0])
+            if s_ref == 0.0:
+                assert s == 0.0, (la, lc, v2)
+                boundary += 1
+    assert folds >= 8 and boundary >= 16, (folds, boundary)
+    assert worst <= 1e-9, f"solver log-likelihood trails the oracle by {worst:.2e}"
 
 
 def test_floor_solver_batch_matches_single():
