@@ -120,14 +120,19 @@ def _prepare_outputs(out: str, plot_dir: str | None = None) -> None:
         os.makedirs(plot_dir, exist_ok=True)
 
 
-def _seed_default() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
+def _resolve_seed(flag: int | None) -> int:
+    """The --seed value, else the environment variable, else 0; never negative."""
+    if flag is not None:
+        source, raw = "--seed", str(flag)
+    else:
+        source, raw = f"environment variable {SEED_ENV}", os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise UsageError(f"environment variable {SEED_ENV}={raw!r} is not an integer") from None
+        raise UsageError(f"{source}={raw!r} is not an integer") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _jammer_preset(args) -> str | None:
@@ -149,6 +154,14 @@ def _fmt_db(x: float) -> str:
     return f"{v:9.2f}"
 
 
+def _print_links(header: str, bearing, beta, b) -> None:
+    """One table row per link: bearing, gain and LOS power beta b^2."""
+    print(header)
+    for i in range(len(beta)):
+        print(f"{i + 1:>6}  {np.degrees(bearing[i]):9.2f}  {_fmt_db(beta[i])}  "
+              f"{_fmt_db(beta[i] * b[i] ** 2)}")
+
+
 def cmd_generate(args) -> int:
     config = preset_config(args.preset, k_sensors=args.k, n_antennas=args.n,
                            pd=args.pd, pf=args.pf, seed=args.seed,
@@ -162,17 +175,10 @@ def cmd_generate(args) -> int:
         save_scenario(args.out, config, wsn, jammer)
     print(f"# preset={args.preset} jammer={args.jammer} K={wsn.k_sensors} "
           f"N={wsn.n_antennas} seed={args.seed}")
-    print("sensor  theta_deg   beta_dbm  los_power_dbm")
-    for i, s in enumerate(wsn.sensors):
-        los = s.beta * s.b ** 2
-        print(f"{i + 1:>6}  {np.degrees(s.theta):9.2f}  {_fmt_db(s.beta)}  "
-              f"{_fmt_db(los)}")
+    _print_links("sensor  theta_deg   beta_dbm  los_power_dbm", wsn.theta, wsn.beta, wsn.b)
     if jammer is not None:
-        print("jammer  phi_deg     beta_dbm  los_power_dbm")
-        for i in range(jammer.rank):
-            los = jammer.beta[i] * jammer.b[i] ** 2
-            print(f"{i + 1:>6}  {np.degrees(jammer.phi[i]):9.2f}  "
-                  f"{_fmt_db(jammer.beta[i])}  {_fmt_db(los)}")
+        _print_links("jammer  phi_deg     beta_dbm  los_power_dbm",
+                     jammer.phi, jammer.beta, jammer.b)
     if args.out:
         print(f"# wrote {args.out}")
     return 0
@@ -487,8 +493,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_glue_negative_values(argv))
     try:
-        if args.seed is None:
-            args.seed = _seed_default()
+        args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -115,30 +115,28 @@ def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
     Both conditional densities are 2^K-component Gaussian mixtures; each
     mixture is evaluated in the log domain via logsumexp, so the result
     stays finite for ||y|| far into the tails and for sensors that always
-    or never transmit.  Given a jammer and its per-trial symbols psi (T, r),
-    each component mean is shifted by A_J zeta(psi) and each component
-    variance inflated by sigma_j2(psi): the clairvoyant LRT.  Requires
-    K <= MAX_ENUM_K (enumeration tables).
+    or never transmit.  Given a jammer and its per-trial unit-modulus
+    symbols psi (T, r), each component mean is shifted by ``jammer.los(psi)``
+    and each component variance inflated by the constant scattered power
+    sum(jammer.nu): the clairvoyant LRT.  Requires K <= MAX_ENUM_K
+    (enumeration tables).
     """
     tab = ctx.llr_tables
     if tab is None:
         raise UnsupportedSizeError(
             f"exact mixture statistics need K <= {MAX_ENUM_K} "
             f"(K={ctx.scenario.k_sensors})")
-    sj2 = None
+    s2 = tab.sigma_e2_all[None, :]
     if jammer is not None and psi is not None:
-        y = y - jammer.zeta(psi) @ jammer.a_j.T
-        sj2 = jammer.sigma_j2(psi)
+        y = y - jammer.los(psi)
+        s2 = s2 + jammer.nu.sum()
     t = y.shape[0]
     n = ctx.scenario.n_antennas
     m = tab.mu_all.shape[1]
     out = np.empty(t)
-    s2 = tab.sigma_e2_all[None, :]
     chunk = max(1, (1 << 23) // m)
     for lo in range(0, t, chunk):
         ysl = y[lo:lo + chunk]
-        if sj2 is not None:
-            s2 = tab.sigma_e2_all[None, :] + sj2[lo:lo + chunk, None]
         g = ysl @ tab.mu_all.conj()
         d2 = (np.sum(np.abs(ysl) ** 2, axis=1)[:, None]
               + tab.mu_norm2[None, :] - 2.0 * g.real)

@@ -1,7 +1,8 @@
 """Fusion statistics that tolerate (or exploit) a rank-r subspace interferer.
 
   clairvoyant  exact LRT given the jammer symbols and scattered power
-               (fusion_rules.llr with the jammer shift and inflation)
+               (fusion_rules.llr with the jammer's LOS shift and its
+               constant scattered-power inflation)
   is-glrt      ideal-sensor GLRT: project out the jammer subspace, estimate
                the residual interference floor by ML, plug back in
   nlos-glrt    energy in the interference-free subspace
@@ -111,10 +112,11 @@ class SigmaPolySolver:
         self.lambda_c = lc
 
     def loglik(self, v_abs2: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """L at floor s[i] for the energies in row i of v_abs2."""
+        """L at floor s[i] for the energies in row i of v_abs2; a zero energy adds 0."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return (-np.sum(np.log(self.lambda_a + s[:, None]), axis=1)
-                    - np.sum(v_abs2 / (self.lambda_c + s[:, None]), axis=1))
+                    - np.sum(np.where(v_abs2 > 0, v_abs2 / (self.lambda_c + s[:, None]), 0.0),
+                             axis=1))
 
     def _sums(self, v, s):
         """(P, Q, U, R) at floor s[i] for the energies in row i of v."""

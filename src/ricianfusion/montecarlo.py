@@ -50,7 +50,7 @@ class SampleBatch:
 class CalibratedTest:
     """A rule with an empirically calibrated threshold (decide H1 iff value > gamma)."""
 
-    rule: object
+    rule: str
     gamma: float
     target_pf0: float
     achieved_pf0: float
@@ -151,14 +151,11 @@ class Engine:
         self._cache[key] = batch
         return batch
 
-    def eval(self, rule, batch: SampleBatch) -> np.ndarray:
-        """Evaluate a RULES name or a callable rule on a batch, sliced across threads."""
+    def eval(self, rule: str, batch: SampleBatch) -> np.ndarray:
+        """Evaluate a RULES name on a batch, sliced across threads."""
         t = batch.y.shape[0]
         slices = [slice(lo, min(lo + self.block, t)) for lo in range(0, t, self.block)]
-        if callable(rule):
-            def run(sl):
-                return np.asarray(rule(batch.y[sl], self.ctx), dtype=float)
-        elif rule not in fusion_rules.RULES:
+        if rule not in fusion_rules.RULES:
             raise ValueError(
                 f"unknown rule {rule!r}; choose from {', '.join(fusion_rules.RULES)}")
         elif rule in fusion_rules.JAM_RULES:

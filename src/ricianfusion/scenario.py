@@ -4,13 +4,13 @@ A scenario fixes everything that does not change from one channel use to the
 next: sensor positions, large-scale gains, Rician factors, angles seen by the
 receive array, sensor operating points and -- optionally -- an interfering
 subspace transmitter.  Fast fading and noise are drawn per trial by the
-signal model on top of a scenario.
+signal model on top of a scenario.  Sensors and jammer components share one
+Rician link model (``_rician_links``) and one placement draw (``_draw_links``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,15 +44,15 @@ NOISE_POWER = 1.0
 _RANK_RTOL = 1e-8  # smallest/largest singular value ratio for "full rank"
 
 
-def steering_vector(theta: float, n: int) -> np.ndarray:
+def steering_vector(theta, n: int) -> np.ndarray:
     """Receive-array response for a source at angle ``theta``.
 
     Uniform linear array with half-wavelength spacing; entry m is
-    exp(j*pi*m*cos(theta)) for m = 0..n-1.
+    exp(j*pi*m*cos(theta)) for m = 0..n-1; one column per angle of an array.
     """
     if n < 1:
         raise ValueError(f"array size must be >= 1, got {n}")
-    m = np.arange(n)
+    m = np.arange(n).reshape((n,) + (1,) * np.ndim(theta))
     return np.exp(1j * np.pi * m * np.cos(theta))
 
 
@@ -87,16 +87,6 @@ class SensorParams:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if not (0.0 <= self.pf <= self.pd <= 1.0):
             raise ValueError(f"need 0 <= pf <= pd <= 1, got pf={self.pf} pd={self.pd}")
-
-    @property
-    def b(self) -> float:
-        """LOS amplitude fraction sqrt(kappa / (1 + kappa))."""
-        return math.sqrt(self.kappa / (1.0 + self.kappa))
-
-    @property
-    def nu(self) -> float:
-        """Scattered-power coefficient beta * (1 - b^2) = beta / (1 + kappa)."""
-        return self.beta * (1.0 - self.kappa / (1.0 + self.kappa))
 
 
 @dataclass(frozen=True)
@@ -145,6 +135,14 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rician_links(theta, beta, kappa, n: int):
+    """LOS fraction b = sqrt(kappa/(1+kappa)), scattered power nu = beta/(1+kappa)
+    and LOS columns a(theta) sqrt(beta) b of Rician links to an n-antenna array."""
+    b = np.sqrt(kappa / (1.0 + kappa))
+    nu = beta * (1.0 - kappa / (1.0 + kappa))
+    return b, nu, steering_vector(theta, n) * (np.sqrt(beta) * b)
+
+
 @dataclass(frozen=True, eq=False)
 class WsnScenario:
     """A realized sensor deployment plus receiver geometry/noise.
@@ -184,24 +182,17 @@ class WsnScenario:
         set_(self, "beta", _lock(np.array([s.beta for s in sens])))
         set_(self, "kappa", _lock(np.array([s.kappa for s in sens])))
         set_(self, "theta", _lock(np.array([s.theta for s in sens])))
-        set_(self, "b", _lock(np.array([s.b for s in sens])))
-        set_(self, "nu", _lock(np.array([s.nu for s in sens])))
         set_(self, "pd", _lock(np.array([s.pd for s in sens])))
         set_(self, "pf", _lock(np.array([s.pf for s in sens])))
-        a = np.stack([steering_vector(t, self.n_antennas) for t in self.theta], axis=1)
-        # mean channel matrix: steering columns scaled by sqrt(beta)*b
-        set_(self, "a_tilde", _lock(a * (np.sqrt(self.beta) * self.b)[None, :]))
+        links = _rician_links(self.theta, self.beta, self.kappa, self.n_antennas)
+        for name, value in zip(("b", "nu", "a_tilde"), links):  # a_tilde: mean channel
+            set_(self, name, _lock(value))
         set_(self, "mu_bar", _lock(self.a_tilde.mean(axis=1)))
         set_(self, "nu_bar", float(self.nu.mean()))
 
     @property
     def k_sensors(self) -> int:
         return len(self.sensors)
-
-    def sigma_e2(self, x) -> np.ndarray:
-        """Equivalent noise variance sigma_w^2 + sum_k nu_k x_k for decisions x."""
-        x = np.asarray(x, dtype=float)
-        return self.noise_power + x @ self.nu
 
     def rho(self, h: int) -> np.ndarray:
         """Vector of marginal transmit probabilities under hypothesis h."""
@@ -219,11 +210,11 @@ class WsnScenario:
 class JammerScenario:
     """A rank-r subspace interferer as seen by the receive array.
 
-    Columns of the mixing matrix are steering vectors at the jammer bearings,
-    scaled by the per-component LOS amplitudes; the scattered residual power
-    for a transmit vector psi is sigma_j2(psi).  The SVD basis and the
-    orthogonal projector onto the interference-free subspace are precomputed
-    here because every interference-aware rule needs them.
+    Each component reaches the array over a sensor's Rician link: ``a_j``
+    holds the LOS columns and ``nu`` the scattered powers, which add sum(nu)
+    to the noise variance since symbols have unit modulus.  The SVD basis
+    and the projector onto the interference-free subspace are precomputed
+    because every interference-aware rule needs them.
     """
 
     phi: np.ndarray
@@ -236,7 +227,6 @@ class JammerScenario:
     nu: np.ndarray = field(init=False, repr=False)
     a_j: np.ndarray = field(init=False, repr=False)
     u_j: np.ndarray = field(init=False, repr=False)
-    u_perp: np.ndarray = field(init=False, repr=False)
     p_perp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -255,19 +245,13 @@ class JammerScenario:
         set_(self, "phi", _lock(phi))
         set_(self, "beta", _lock(beta))
         set_(self, "kappa", _lock(kappa))
-        b = np.sqrt(kappa / (1.0 + kappa))
-        set_(self, "b", _lock(b))
-        set_(self, "nu", _lock(beta * (1.0 - b ** 2)))
-        cols = np.stack([steering_vector(p, n) for p in phi], axis=1)
-        a_j = cols * (np.sqrt(beta) * b)[None, :]
-        set_(self, "a_j", _lock(a_j))
-        u, s, _ = np.linalg.svd(a_j, full_matrices=True)
+        for name, value in zip(("b", "nu", "a_j"), _rician_links(phi, beta, kappa, n)):
+            set_(self, name, _lock(value))
+        u, s, _ = np.linalg.svd(self.a_j, full_matrices=True)
         if s[-1] <= _RANK_RTOL * s[0]:
             raise ValueError("jammer mixing matrix is (numerically) rank deficient")
         set_(self, "u_j", _lock(u))
-        u_perp = u[:, r:]
-        set_(self, "u_perp", _lock(u_perp))
-        set_(self, "p_perp", _lock(u_perp @ u_perp.conj().T))
+        set_(self, "p_perp", _lock(u[:, r:] @ u[:, r:].conj().T))
         if self.positions is not None:
             set_(self, "positions", _lock(np.asarray(self.positions, dtype=float)))
 
@@ -275,16 +259,10 @@ class JammerScenario:
     def rank(self) -> int:
         return self.phi.size
 
-    def zeta(self, psi) -> np.ndarray:
-        """Effective LOS symbol vector: per-component b*sqrt(beta) times psi."""
-        psi = np.asarray(psi, dtype=complex)
-        return psi * (self.b * np.sqrt(self.beta))
-
-    def sigma_j2(self, psi) -> np.ndarray | float:
-        """Scattered interference power sum_l nu_l |psi_l|^2."""
-        psi = np.asarray(psi, dtype=complex)
-        out = (np.abs(psi) ** 2) @ self.nu
-        return float(out) if out.ndim == 0 else out
+    def los(self, psi) -> np.ndarray:
+        """LOS interference (T, N) of (T, r) symbols, scaled by b sqrt(beta) on
+        top of the columns of ``a_j``, which carry b sqrt(beta) already."""
+        return (psi * (self.b * np.sqrt(self.beta))) @ self.a_j.T
 
     def with_(self, n_antennas: int) -> "JammerScenario":
         return JammerScenario(
@@ -293,38 +271,32 @@ class JammerScenario:
         )
 
 
-def _draw_annulus(rng: np.random.Generator, n: int, r_min: float, r_max: float):
-    """Positions uniform (in area) over the annulus r_min <= r <= r_max."""
-    radii = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, size=n))
+def _draw_links(rng: np.random.Generator, n: int, shadow_db, rician_db):
+    """Positions (n, 2), gains, Rician factors and bearings of n transmitters.
+
+    Placement and path loss follow the recipe constants, ``shadow_db`` is
+    (mean, std) in dB, and Rician factors are uniform in dB in ``rician_db``.
+    The bearing is the planar angle to the array axis, in [0, pi]: a linear
+    array cannot tell mirror-image directions apart.
+    """
+    radii = np.sqrt(rng.uniform(R_MIN ** 2, R_MAX ** 2, size=n))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return radii * np.cos(angles), radii * np.sin(angles), radii
-
-
-def _draw_gains(rng, n, radii, r_min, exponent, mean_db, std_db):
-    xi = db_to_lin(rng.normal(mean_db, std_db, size=n))
-    return xi * (r_min / radii) ** exponent
+    px, py = radii * np.cos(angles), radii * np.sin(angles)
+    xi = db_to_lin(rng.normal(shadow_db[0], shadow_db[1], size=n))
+    beta = xi * (R_MIN / radii) ** PATH_LOSS_EXPONENT
+    kappa = db_to_lin(rng.uniform(rician_db[0], rician_db[1], size=n))
+    return np.stack([px, py], axis=1), beta, kappa, np.arccos(px / radii)
 
 
 def generate_wsn(config: DeploymentConfig, rng: np.random.Generator) -> WsnScenario:
-    """Draw a sensor deployment.
-
-    Sensors fall uniformly on the annulus around the receiver (at the
-    origin); large-scale gains combine log-normal shadowing with power-law
-    path loss referenced to R_MIN; Rician factors are uniform in dB inside
-    the configured interval.  The bearing fed to the array is the planar
-    angle between the sensor direction and the array axis, folded into
-    [0, pi] (a linear array cannot tell mirror-image directions apart).
-    """
-    k = config.k_sensors
-    px, py, radii = _draw_annulus(rng, k, R_MIN, R_MAX)
-    beta = _draw_gains(rng, k, radii, R_MIN, PATH_LOSS_EXPONENT, *SENSOR_SHADOW_DB)
-    kappa = db_to_lin(rng.uniform(config.rician_db[0], config.rician_db[1], size=k))
-    theta = np.arccos(px / radii)
+    """Draw a sensor deployment; every sensor gets the configured (pd, pf)."""
+    pos, beta, kappa, theta = _draw_links(rng, config.k_sensors, SENSOR_SHADOW_DB,
+                                          config.rician_db)
     sensors = tuple(
-        SensorParams(position=(float(px[i]), float(py[i])), beta=float(beta[i]),
+        SensorParams(position=(float(pos[i, 0]), float(pos[i, 1])), beta=float(beta[i]),
                      kappa=float(kappa[i]), theta=float(theta[i]),
                      pd=config.pd, pf=config.pf)
-        for i in range(k)
+        for i in range(config.k_sensors)
     )
     return WsnScenario(sensors=sensors, n_antennas=config.n_antennas,
                        noise_power=NOISE_POWER)
@@ -332,12 +304,8 @@ def generate_wsn(config: DeploymentConfig, rng: np.random.Generator) -> WsnScena
 
 def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
                     preset: str) -> JammerScenario:
-    """Draw a rank-r jammer with the same placement recipe as the sensors.
-
-    Each of the r components gets its own position/gain/Rician factor; the
-    shadowing is the (stronger) jammer one, and ``preset`` picks the Rician
-    interval from JAMMER_PRESETS.
-    """
+    """Draw a rank-r jammer: r links with the (stronger) jammer shadowing and
+    the Rician interval of JAMMER_PRESETS[preset]."""
     try:
         interval = JAMMER_PRESETS[preset]
     except KeyError:
@@ -347,13 +315,9 @@ def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
     if r >= config.n_antennas:
         raise ValueError(
             f"jammer rank {r} must be smaller than the antenna count {config.n_antennas}")
-    px, py, radii = _draw_annulus(rng, r, R_MIN, R_MAX)
-    beta = _draw_gains(rng, r, radii, R_MIN, PATH_LOSS_EXPONENT, *JAMMER_SHADOW_DB)
-    kappa = db_to_lin(rng.uniform(interval[0], interval[1], size=r))
-    phi = np.arccos(px / radii)
+    pos, beta, kappa, phi = _draw_links(rng, r, JAMMER_SHADOW_DB, interval)
     return JammerScenario(phi=phi, beta=beta, kappa=kappa,
-                          n_antennas=config.n_antennas,
-                          positions=np.stack([px, py], axis=1))
+                          n_antennas=config.n_antennas, positions=pos)
 
 
 # ---------------------------------------------------------------------------
@@ -391,31 +355,35 @@ def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
 def load_scenario(path):
     """Load a scenario file; returns (wsn, jammer-or-None).
 
-    Keys this version does not read are ignored.  A jammer whose symbols are
-    not uniform-phase (files of older versions could hold a constant-symbol
-    jammer) is rejected.
+    Keys this version does not read are ignored.  A missing or malformed
+    entry raises ValueError naming the file.  A jammer whose symbols are not
+    uniform-phase (files of older versions could hold a constant-symbol
+    jammer) is rejected: ``signal_model.draw_psi`` is the only symbol model.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    w = doc["wsn"]
-    sensors = tuple(
-        SensorParams(position=tuple(w["positions"][i]), beta=w["beta"][i],
-                     kappa=w["kappa"][i], theta=w["theta"][i],
-                     pd=w["pd"][i], pf=w["pf"][i])
-        for i in range(len(w["beta"]))
-    )
-    wsn = WsnScenario(sensors=sensors, n_antennas=int(w["n_antennas"]),
-                      noise_power=float(w["noise_power"]))
-    jammer = None
-    if "jammer" in doc:
+    try:
+        w = doc["wsn"]
+        sensors = tuple(
+            SensorParams(position=tuple(w["positions"][i]), beta=w["beta"][i],
+                         kappa=w["kappa"][i], theta=w["theta"][i],
+                         pd=w["pd"][i], pf=w["pf"][i])
+            for i in range(len(w["beta"]))
+        )
+        wsn = WsnScenario(sensors=sensors, n_antennas=int(w["n_antennas"]),
+                          noise_power=float(w["noise_power"]))
+        if "jammer" not in doc:
+            return wsn, None
         j = doc["jammer"]
         if j.get("signal_policy", "uniform-phase") != "uniform-phase":
             raise ValueError(f"scenario file {path}: jammer symbol policy "
                              f"{j['signal_policy']!r} is not supported "
                              "(only uniform-phase)")
-        jammer = JammerScenario(
+        return wsn, JammerScenario(
             phi=np.array(j["phi"]), beta=np.array(j["beta"]), kappa=np.array(j["kappa"]),
             n_antennas=wsn.n_antennas,
             positions=None if j.get("positions") is None else np.array(j["positions"]),
         )
-    return wsn, jammer
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"scenario file {path}: missing or malformed entry "
+                         f"({type(exc).__name__}: {exc})") from None

@@ -5,9 +5,11 @@ The received vector at the N-antenna fusion center for one channel use is
     y = A_tilde x + sum_k sqrt(nu_k) h_k x_k + w,
 
 with x the K on/off sensor decisions, h_k ~ CN(0, I_N) fresh scattered
-fading, and w ~ CN(0, sigma_w^2 I_N) thermal noise.  A jammer adds
-A_J zeta(psi) plus its own scattered term.  Complex-normal convention
-throughout: CN(0, s) has real and imaginary parts N(0, s/2).
+fading, and w ~ CN(0, sigma_w^2 I_N) thermal noise.  A jammer with
+unit-modulus symbols psi adds its LOS term ``JammerScenario.los(psi)`` plus
+sum_l sqrt(nu_l) g_l psi_l, g_l ~ CN(0, I_N): the same Rician link as a
+sensor's.  Complex-normal convention throughout: CN(0, s) has real and
+imaginary parts N(0, s/2).
 
 All drawing functions take and return batches with a leading trial axis.
 """
@@ -82,15 +84,14 @@ def draw_jammed(scenario: WsnScenario, jammer: JammerScenario, x,
 
     The interference-free part is drawn first (so with a common seed it
     matches draw_received exactly), then the jammer symbols psi, the jammer
-    LOS contribution A_J zeta(psi) and its scattered fading are added.
+    LOS term ``jammer.los(psi)`` and its scattered fading are added.
     """
     t = np.shape(x)[0]
     y = draw_received(scenario, x, rng)
     psi = draw_psi(jammer, rng, t)
-    zeta = jammer.zeta(psi)
     h_j = crandn(rng, (t, scenario.n_antennas, jammer.rank))
     scat = np.einsum("tnr,tr->tn", h_j, psi * np.sqrt(jammer.nu)[None, :])
-    return y + zeta @ jammer.a_j.T + scat, psi
+    return y + jammer.los(psi) + scat, psi
 
 
 def augment(a: np.ndarray) -> np.ndarray:

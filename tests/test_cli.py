@@ -246,6 +246,19 @@ def test_garbage_environment_seed_exits_2(tmp_path, monkeypatch, capsys):
     assert cli.SEED_ENV in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,env,named", [(["--seed", "-1"], None, "--seed"),
+                                            ([], "-3", cli.SEED_ENV)])
+def test_negative_seed_is_a_named_usage_error(tmp_path, monkeypatch, capsys,
+                                              flag, env, named):
+    if env is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["run", "--rules", "nlos", "--out", str(out), *flag])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert named in err and "non-negative" in err
+
+
 # ------------------------------------------------------------ generate
 
 def test_generate_prints_table_and_writes_scenario(tmp_path, capsys):

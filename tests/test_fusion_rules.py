@@ -28,7 +28,7 @@ def mp_mixture_llr(y, scenario, pmf0, pmf1):
         for j, x in enumerate(table):
             if pmf[j] == 0.0:
                 continue
-            s2 = mp.mpf(float(scenario.sigma_e2(x)))
+            s2 = mp.mpf(float(scenario.noise_power + x @ scenario.nu))
             mu = scenario.a_tilde @ x
             d2 = mp.mpf(0)
             for i in range(n):

@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 import ricianfusion as rf
 from ricianfusion.montecarlo import roc_points
-from conftest import make_deployment
+from conftest import force_kappa_zero, make_deployment
 
 
 # ------------------------------------------------------------ upper_quantile
@@ -101,12 +101,6 @@ def test_engine_rejects_nonpositive_thread_counts(small_wsn):
         rf.Engine(small_wsn, threads=0)
 
 
-def test_engine_accepts_callable_rules(small_wsn):
-    eng = rf.Engine(small_wsn, seed=0)
-    vals = eng.stats(lambda y, ctx: rf.nlos_rule(y), rf.H0, 500, 0)
-    np.testing.assert_array_equal(vals, eng.stats("nlos", rf.H0, 500, 0))
-
-
 # ------------------------------------------------------------ calibration
 
 def test_calibration_requires_enough_tail_mass(small_wsn):
@@ -132,10 +126,10 @@ def test_calibration_hits_the_band_at_high_trial_count(small_wsn):
 
 
 def test_constant_statistic_never_fires():
-    wsn, _ = make_deployment(k=3, n=2, seed=74)
+    # with pd = pf both hypotheses share their moments, so igmm is exactly 0
+    wsn, _ = make_deployment(k=3, n=2, seed=74, pd=0.3, pf=0.3)
     eng = rf.Engine(wsn, seed=0)
-    flat = lambda y, ctx: np.zeros(y.shape[0])
-    test = rf.calibrate_threshold(eng, flat, target_pf0=0.05, trials=4000)
+    test = rf.calibrate_threshold(eng, "igmm", target_pf0=0.05, trials=4000)
     assert test.gamma == 0.0
     assert test.achieved_pf0 == 0.0   # strict inequality: never exceeds
 
@@ -168,8 +162,9 @@ def test_rule_is_equivalent_to_itself_and_to_monotone_transforms(small_wsn):
     assert res.verdict == "equivalent"
     assert res.spearman == pytest.approx(1.0, abs=1e-12)
     assert res.max_disagreement == 0.0
-    warped = lambda y, ctx: 2.0 * rf.nlos_rule(y) + 1.0
-    res2 = rf.equivalence_check(eng, "nlos", warped, trials=10_000)
+    # without LOS, is = (nu_bar / sigma_w^2) nlos: a monotone transform
+    flat = rf.Engine(force_kappa_zero(small_wsn), seed=5)
+    res2 = rf.equivalence_check(flat, "nlos", "is", trials=10_000)
     assert res2.verdict == "equivalent"
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ricianfusion as rf
 from conftest import make_deployment
@@ -48,20 +50,42 @@ def test_db_conversions_round_trip():
 
 # ---------------------------------------------------------------- sensors
 
-def test_sensor_params_los_scattered_split_sums_to_beta():
-    s = rf.SensorParams(position=(1.0, 2.0), beta=3.0, kappa=4.0, theta=1.0,
+def _one_sensor(beta, kappa, theta=1.0, n=3):
+    s = rf.SensorParams(position=(1.0, 2.0), beta=beta, kappa=kappa, theta=theta,
                         pd=0.5, pf=0.05)
+    return rf.WsnScenario(sensors=(s,), n_antennas=n, noise_power=1.0)
+
+
+def test_sensor_params_los_scattered_split_sums_to_beta():
+    wsn = _one_sensor(beta=3.0, kappa=4.0)
     # beta*b^2 (LOS power) + nu (scattered power) = beta
-    assert s.beta * s.b ** 2 + s.nu == pytest.approx(s.beta, rel=1e-14)
+    assert wsn.beta[0] * wsn.b[0] ** 2 + wsn.nu[0] == pytest.approx(3.0, rel=1e-14)
 
 
 def test_sensor_params_kappa_extremes():
-    mk = lambda kappa: rf.SensorParams(position=(0, 1), beta=2.0, kappa=kappa,
-                                       theta=0.3, pd=0.9, pf=0.1)
-    assert mk(0.0).b == 0.0 and mk(0.0).nu == 2.0
-    big = mk(1e15)
-    assert big.b == pytest.approx(1.0, abs=1e-7)
-    assert big.nu == pytest.approx(0.0, abs=1e-12)
+    flat = _one_sensor(beta=2.0, kappa=0.0)
+    assert flat.b[0] == 0.0 and flat.nu[0] == 2.0
+    big = _one_sensor(beta=2.0, kappa=1e15)
+    assert big.b[0] == pytest.approx(1.0, abs=1e-7)
+    assert big.nu[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(beta=st.floats(1e-6, 1e6), kappa_db=st.floats(-60.0, 60.0),
+       bearing=st.floats(0.0, math.pi), n=st.integers(2, 8),
+       phase=st.floats(0.0, 1.0))
+def test_sensors_and_jammer_components_share_one_link_law(beta, kappa_db, bearing, n, phase):
+    # kappa > 0: a jammer component without LOS has a zero mixing column
+    kappa = float(rf.db_to_lin(kappa_db))
+    wsn = _one_sensor(beta=beta, kappa=kappa, theta=bearing, n=n)
+    jam = rf.JammerScenario(phi=np.array([bearing]), beta=np.array([beta]),
+                            kappa=np.array([kappa]), n_antennas=n)
+    assert jam.b[0] == wsn.b[0] and jam.nu[0] == wsn.nu[0]
+    np.testing.assert_array_equal(jam.a_j, wsn.a_tilde)
+    assert beta * wsn.b[0] ** 2 + wsn.nu[0] == pytest.approx(beta, rel=1e-14)
+    # the projector removes the LOS interference of unit-modulus symbols
+    los = jam.los(np.exp(2j * np.pi * np.array([[phase], [phase + 0.3]])))
+    assert np.abs(los @ jam.p_perp.T).max() <= 1e-12 * np.abs(los).max()
 
 
 def test_sensor_params_validation():
@@ -89,14 +113,13 @@ def test_generated_positions_stay_in_annulus_and_bearings_in_range(seed):
 
 
 def test_gain_power_law_at_reference_distances():
-    from ricianfusion.scenario import _draw_gains
-    # with the shadowing spread collapsed to zero the gain is the pure
-    # inverse power law: unity at the inner radius, 1/4 at twice it
-    r_min = 100.0
-    radii = np.array([r_min, 2.0 * r_min])
-    beta = _draw_gains(np.random.default_rng(0), 2, radii, r_min,
-                       exponent=2.0, mean_db=0.0, std_db=0.0)
-    np.testing.assert_allclose(beta, [1.0, 0.25], rtol=1e-12)
+    # with the shadowing collapsed to 0 dB the gain is the pure inverse
+    # power law referenced to the inner radius: (R_MIN / r)^2
+    pos, beta, _, _ = scenario._draw_links(np.random.default_rng(0), 50, (0.0, 0.0),
+                                           (0.0, 0.0))
+    radii = np.linalg.norm(pos, axis=1)
+    np.testing.assert_allclose(beta, (scenario.R_MIN / radii) ** 2, rtol=1e-12)
+    assert np.all(beta <= 1.0) and np.all(beta >= (scenario.R_MIN / scenario.R_MAX) ** 2)
 
 
 @pytest.mark.parametrize("preset,lo,hi", [("los", 10, 20),
@@ -139,11 +162,12 @@ def test_mean_channel_matrix_columns():
 
 
 def test_sigma_e2_is_noise_plus_active_scattered_power():
+    # the exact-LLR table holds sigma_w^2 + sum_k nu_k x_k for x = bits of j
     wsn, _ = make_deployment(k=4, n=3, seed=1)
-    assert wsn.sigma_e2(np.zeros(4)) == pytest.approx(wsn.noise_power)
-    assert wsn.sigma_e2(np.ones(4)) == pytest.approx(wsn.noise_power + wsn.nu.sum())
-    x = np.array([1, 0, 1, 0])
-    assert wsn.sigma_e2(x) == pytest.approx(wsn.noise_power + wsn.nu[0] + wsn.nu[2])
+    s2 = rf.make_context(wsn).llr_tables.sigma_e2_all
+    assert s2[0] == pytest.approx(wsn.noise_power)
+    assert s2[15] == pytest.approx(wsn.noise_power + wsn.nu.sum())
+    assert s2[0b0101] == pytest.approx(wsn.noise_power + wsn.nu[0] + wsn.nu[2])
 
 
 def test_with_rebuilds_derived_arrays_but_keeps_sensors():
@@ -193,12 +217,13 @@ def test_jammer_rank_must_be_below_antenna_count():
                           kappa=np.array([1.0]), n_antennas=1)
 
 
-def test_jammer_zeta_and_scattered_power(jammed_pair):
+def test_jammer_los_term_and_scattered_power(jammed_pair):
     _, jam = jammed_pair
-    psi = np.array([1.0 + 0j, -1j])
-    np.testing.assert_allclose(jam.zeta(psi), psi * jam.b * np.sqrt(jam.beta), rtol=1e-14)
-    assert jam.sigma_j2(psi) == pytest.approx(jam.nu.sum(), rel=1e-12)
-    assert jam.sigma_j2(np.zeros(2)) == 0.0
+    psi = np.array([[1.0 + 0j, -1j]])
+    want = (psi * jam.b * np.sqrt(jam.beta)) @ jam.a_j.T
+    np.testing.assert_allclose(jam.los(psi), want, rtol=1e-14)
+    assert jam.los(psi).shape == (1, jam.n_antennas)
+    np.testing.assert_allclose(jam.nu, jam.beta / (1.0 + jam.kappa), rtol=1e-14)
 
 
 @pytest.mark.parametrize("preset,lo,hi", [("los-jam", 10, 20),
@@ -278,6 +303,19 @@ def test_older_format_scenario_file_loads_the_same_arrays(tmp_path, jammed_pair)
     assert wsn2.noise_power == wsn.noise_power and wsn2.sensors == wsn.sensors
     for name in ("phi", "beta", "kappa", "positions", "a_j", "p_perp"):
         np.testing.assert_array_equal(getattr(jam2, name), getattr(jam, name))
+
+
+@pytest.mark.parametrize("doc,named", [({"wsn": {"noise_power": 1.0}}, "'beta'"),
+                                       ([1, 2], "TypeError")])
+def test_malformed_scenario_file_exits_2_before_touching_the_output(tmp_path, capsys,
+                                                                    doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["run", "--scenario", str(path), "--rules", "nlos", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err
 
 
 def test_constant_symbol_jammer_file_exits_2(tmp_path, jammed_pair, capsys):

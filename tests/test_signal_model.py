@@ -96,7 +96,7 @@ def test_received_conditional_moments_for_fixed_decisions(small_wsn):
     t = 200_000
     x = np.array([1, 0, 1, 1, 0], dtype=float)
     y = rf.draw_received(small_wsn, np.tile(x, (t, 1)), np.random.default_rng(5150))
-    s2 = small_wsn.sigma_e2(x)
+    s2 = small_wsn.noise_power + x @ small_wsn.nu
     mean = small_wsn.a_tilde @ x
     # conditional on x the vector is proper: cov = sigma_e2 * I, pcov = 0
     d = y - mean
@@ -193,8 +193,8 @@ def test_jammer_increment_moments_at_fixed_symbols(jammed_pair, monkeypatch):
     y_s, psi = rf.draw_jammed(wsn, fixed, x, np.random.default_rng(808))
     np.testing.assert_array_equal(psi, np.tile(psi0, (t, 1)))
     d = y_s - y
-    mean = np.squeeze(fixed.zeta(psi0[None, :]) @ fixed.a_j.T)
-    sj2 = float(np.asarray(fixed.sigma_j2(psi0[None, :])).item())
+    mean = fixed.los(psi0[None, :])[0]
+    sj2 = float(fixed.nu.sum())     # unit-modulus symbols
     assert np.abs(d.mean(axis=0) - mean).max() < 5 * math.sqrt(sj2 / t)
     c = d - mean
     emp_cov = c.conj().T @ c / t
@@ -206,14 +206,14 @@ def test_jammer_increment_moments_at_fixed_symbols(jammed_pair, monkeypatch):
 
 def test_jammed_moments_match_projector_split(jammed_pair):
     # jammer power must land outside the clean-subspace projector's null space:
-    # P_perp (y_s - y) has only the scattered part, whose power is sigma_j2
+    # P_perp (y_s - y) has only the scattered part, whose power is sum(nu)
     wsn, jam = jammed_pair
     t = 80_000
     x = np.zeros((t, wsn.k_sensors))
     rng = np.random.default_rng(1234)
     y_s, psi = rf.draw_jammed(wsn, jam, x, rng)
     n, r = jam.n_antennas, jam.rank
-    perp = y_s @ jam.u_perp.conj()      # coordinates in the jammer-free subspace
+    perp = y_s @ jam.u_j[:, r:].conj()  # coordinates in the jammer-free subspace
     # per complex coordinate: noise + jammer scattered power
     expect = wsn.noise_power + float(jam.nu.sum())
     emp = np.mean(np.abs(perp) ** 2)
