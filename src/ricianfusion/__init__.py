@@ -11,14 +11,14 @@ from .scenario import (DeploymentConfig, JammerScenario, SensorParams,
                        generate_jammer, generate_wsn, lin_to_db,
                        load_scenario, preset_config, save_scenario,
                        steering_vector)
-from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
-                           crandn, draw_decisions, draw_jammed, draw_psi,
+from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar,
+                           UnsupportedSizeError, augment, crandn,
+                           draw_decisions, draw_jammed, draw_psi,
                            draw_received, enumerate_decisions,
                            second_order_char)
 from .fusion_rules import (FREE_RULES, JAM_RULES, RULES, DegenerateWeightsError,
-                           Rule, RuleContext, UnsupportedSizeError, evaluate,
-                           igmm_rule, is_rule, llr, make_context, nlos_rule,
-                           wl_rule, wl_weights)
+                           Rule, RuleContext, evaluate, igmm_rule, is_rule,
+                           llr, make_context, nlos_rule, wl_rule, wl_weights)
 from .jamming_rules import (JammerWorkspace, SigmaPolySolver, build_workspace,
                             evaluate_jam, igmm_glrt, is_glrt, nlos_glrt,
                             nlos_piecewise_reference, solve_sigma_poly)

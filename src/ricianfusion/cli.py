@@ -38,34 +38,54 @@ SENSOR_DEFAULTS = {"k": 14, "pd": 0.5, "pf": 0.05}
 RULES_HELP = f"comma list of rules: {', '.join(RULES)}"
 # an option value with a leading minus sign, e.g. the grid -10:5:10
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+MAX_GRID_POINTS = 10_000  # noise points one --sigma-grid may hold
 
 
 class UsageError(ValueError):
     pass
 
 
+def _check_dbm(values, flag: str) -> None:
+    """Reject dBm values whose linear power is not finite and positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = db_to_lin(values)
+    for v, p in zip(values, power):
+        if not (np.isfinite(p) and p > 0.0):
+            raise UsageError(f"{flag} value {v} dBm has no finite, positive linear power")
+
+
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse 'start:step:stop' (inclusive) or a single value, in dBm."""
+    """Parse '--sigma-grid start:step:stop' (inclusive) or a single value, in dBm.
+
+    The point count is bounded before any point is built, and every point
+    must have a finite, positive linear power.
+    """
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, step, stop = (float(p) for p in parts)
+        grid = tuple(float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"bad grid {text!r}; expected 'start:step:stop'") from None
-    if step == 0.0 or (stop - start) * step < 0.0:
-        raise UsageError(f"grid {text!r} does not reach its stop value")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+        raise UsageError(f"bad --sigma-grid {text!r}; expected 'start:step:stop'") from None
+    if not all(map(math.isfinite, grid)):
+        raise UsageError(f"--sigma-grid {text!r} holds a value that is not finite")
+    if len(grid) == 3:
+        start, step, stop = grid
+        if step == 0.0 or (stop - start) * step < 0.0:
+            raise UsageError(f"--sigma-grid {text!r} does not reach its stop value")
+        span = (stop - start) / step + 1e-9  # inf when the division overflows
+        if not span < MAX_GRID_POINTS:
+            raise UsageError(f"--sigma-grid {text!r} has more than {MAX_GRID_POINTS} points")
+        grid = tuple(start + i * step for i in range(math.floor(span) + 1))
+    _check_dbm(grid, "--sigma-grid")
+    return grid
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind, flag: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(kind(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"bad integer list {text!r}") from None
+        raise UsageError(f"bad {flag} list {text!r}") from None
 
 
 def _parse_rules(text: str, k: int, jammed: bool, same_rates: bool,
@@ -196,7 +216,7 @@ def _write_plot_data(rows, outdir) -> None:
 
 
 def cmd_run(args) -> int:
-    grid, n_list = parse_grid(args.sigma_grid), _parse_int_list(args.n)
+    grid, n_list = parse_grid(args.sigma_grid), _parse_list(args.n, int, "--n")
     if args.scenario:
         if any(getattr(args, name) is not None
                for name in ("preset", "jammer", *SENSOR_DEFAULTS)):
@@ -238,8 +258,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    levels = (tuple(float(x) for x in args.levels.split(","))
+    levels = (_parse_list(args.levels, float, "--levels")
               if args.levels else montecarlo.DEFAULT_LEVELS)
+    _check_dbm((args.sigma_dbm,), "--sigma-dbm")
     jammer_preset = _jammer_preset(args)
     rules = _parse_rules(args.rules, args.k, jammer_preset is not None,
                          args.pd == args.pf)

@@ -10,15 +10,16 @@ Six statistics, all real-valued and all "large under H1":
   igmm  improper-Gaussian moment-matched quadratic statistic
 
 Every kernel maps a batch of received vectors (T, N) to a (T,) array.
-``RuleContext`` carries the scenario's moments, inverse augmented
-covariances and mixture tables; the ``wl0``/``wl1`` kernels derive their
-weights from it per call.  ``RULES`` lists all ten statistics (these six
-and the four jammer-aware ones of ``jamming_rules``) with what each needs.
+``RuleContext`` carries the per-hypothesis moments and inverse augmented
+covariances, and the mixture tables once first read; ``wl0``/``wl1`` derive
+their weights from it per call.  ``RULES`` lists all ten statistics (these
+six and the four jammer-aware ones of ``jamming_rules``) with what each needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,8 +27,8 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from .scenario import JammerScenario, WsnScenario
-from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar, augment,
-                           enumerate_decisions, second_order_char)
+from .signal_model import (H0, H1, SecondOrderChar, augment, enumerate_decisions,
+                           second_order_char)
 
 _HERM_RTOL = 1e-10
 _IMAG_TOL = 1e-10
@@ -35,17 +36,13 @@ _IMAG_TOL = 1e-10
 SAME_RATES = "identical transmit probabilities under both hypotheses"
 
 
-class UnsupportedSizeError(ValueError):
-    """Raised when an exact-enumeration rule is asked for too many sensors."""
-
-
 class DegenerateWeightsError(ValueError):
     """Raised when the deflection-optimal weight direction is undefined."""
 
 
 def _hermitian_inv(m: np.ndarray) -> np.ndarray:
-    asym = np.linalg.norm(m - m.conj().T)
-    if asym > _HERM_RTOL * max(np.linalg.norm(m), 1e-300):
+    # max-abs, not Frobenius, norms: squares would overflow at extreme noise powers
+    if np.abs(m - m.conj().T).max() > _HERM_RTOL * max(np.abs(m).max(), 1e-300):
         raise np.linalg.LinAlgError("covariance matrix is not Hermitian within tolerance")
     c, low = scipy.linalg.cho_factor(m)
     return scipy.linalg.cho_solve((c, low), np.eye(m.shape[0], dtype=complex))
@@ -58,8 +55,7 @@ class _LlrTables:
     mu_all: np.ndarray       # (N, 2^K) conditional means A_tilde x
     mu_norm2: np.ndarray     # (2^K,)
     sigma_e2_all: np.ndarray  # (2^K,) equivalent variances
-    log_p0: np.ndarray       # (2^K,) log P(x | H0)
-    log_p1: np.ndarray       # (2^K,) log P(x | H1)
+    log_p: tuple[np.ndarray, np.ndarray]  # (2^K,) log P(x | h), indexed by h
 
 
 def _log_pmf_iid(x_all: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -70,43 +66,32 @@ def _log_pmf_iid(x_all: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(x_all == 1, logp[None, :], logq[None, :]).sum(axis=1)
 
 
-def _build_llr_tables(scenario: WsnScenario) -> _LlrTables:
-    x_all = enumerate_decisions(scenario.k_sensors)
-    xf = x_all.astype(float)
-    mu_all = scenario.a_tilde @ xf.T
-    return _LlrTables(mu_all=mu_all,
-                      mu_norm2=np.sum(np.abs(mu_all) ** 2, axis=0),
-                      sigma_e2_all=scenario.noise_power + xf @ scenario.nu,
-                      log_p0=_log_pmf_iid(x_all, scenario.pf),
-                      log_p1=_log_pmf_iid(x_all, scenario.pd))
-
-
 @dataclass(frozen=True)
 class RuleContext:
-    """Precomputed per-scenario quantities shared by all fusion rules."""
+    """Per-scenario quantities shared by all fusion rules; pairs are indexed by h."""
 
     scenario: WsnScenario
-    char0: SecondOrderChar
-    char1: SecondOrderChar
-    aug_inv0: np.ndarray
-    aug_inv1: np.ndarray
-    llr_tables: _LlrTables | None
+    char: tuple[SecondOrderChar, SecondOrderChar]
+    aug_inv: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def llr_tables(self) -> _LlrTables:
+        """The exact mixture's tables, built on the first read; raises
+        ``UnsupportedSizeError`` when K > MAX_ENUM_K."""
+        sc = self.scenario
+        x_all = enumerate_decisions(sc.k_sensors)
+        xf = x_all.astype(float)
+        mu_all = sc.a_tilde @ xf.T
+        return _LlrTables(mu_all=mu_all,
+                          mu_norm2=np.sum(np.abs(mu_all) ** 2, axis=0),
+                          sigma_e2_all=sc.noise_power + xf @ sc.nu,
+                          log_p=tuple(_log_pmf_iid(x_all, sc.rho(h)) for h in (H0, H1)))
 
 
 def make_context(scenario: WsnScenario) -> RuleContext:
-    """Build a RuleContext.
-
-    The exact-LLR enumeration tables are built only when K <= MAX_ENUM_K.
-    """
-    char0 = second_order_char(scenario, H0)
-    char1 = second_order_char(scenario, H1)
-    tables = None
-    if scenario.k_sensors <= MAX_ENUM_K:
-        tables = _build_llr_tables(scenario)
-    return RuleContext(scenario=scenario, char0=char0, char1=char1,
-                       aug_inv0=_hermitian_inv(char0.aug_cov),
-                       aug_inv1=_hermitian_inv(char1.aug_cov),
-                       llr_tables=tables)
+    """Build a RuleContext; the mixture tables wait for their first reader."""
+    char = tuple(second_order_char(scenario, h) for h in (H0, H1))
+    return RuleContext(scenario, char, tuple(_hermitian_inv(c.aug_cov) for c in char))
 
 
 def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
@@ -119,13 +104,9 @@ def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
     symbols psi (T, r), each component mean is shifted by ``jammer.los(psi)``
     and each component variance inflated by the constant scattered power
     sum(jammer.nu): the clairvoyant LRT.  Requires K <= MAX_ENUM_K
-    (enumeration tables).
+    (``UnsupportedSizeError`` otherwise).
     """
     tab = ctx.llr_tables
-    if tab is None:
-        raise UnsupportedSizeError(
-            f"exact mixture statistics need K <= {MAX_ENUM_K} "
-            f"(K={ctx.scenario.k_sensors})")
     s2 = tab.sigma_e2_all[None, :]
     if jammer is not None and psi is not None:
         y = y - jammer.los(psi)
@@ -142,8 +123,8 @@ def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
               + tab.mu_norm2[None, :] - 2.0 * g.real)
         np.maximum(d2, 0.0, out=d2)
         base = -n * np.log(s2) - d2 / s2
-        out[lo:lo + chunk] = (logsumexp(base + tab.log_p1[None, :], axis=1)
-                              - logsumexp(base + tab.log_p0[None, :], axis=1))
+        out[lo:lo + chunk] = (logsumexp(base + tab.log_p[H1][None, :], axis=1)
+                              - logsumexp(base + tab.log_p[H0][None, :], axis=1))
     return out
 
 
@@ -164,16 +145,20 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
 
     z = Sigma_aug(h)^{-1} A_aug (rho1 - rho0), normalized to unit length.
     The direction is undefined (``DegenerateWeightsError``) when the two
-    hypotheses have identical transmit-probability vectors or the mean
-    channel matrix vanishes.
+    hypotheses have identical transmit-probability vectors or A_aug (rho1 -
+    rho0) is exactly zero; a norm of z that underflows to 0 or is not finite
+    is a numerical failure (``LinAlgError``).
     """
-    rho10 = ctx.char1.rho - ctx.char0.rho
+    rho10 = ctx.scenario.pd - ctx.scenario.pf
     if np.all(rho10 == 0.0):
         raise DegenerateWeightsError(SAME_RATES)
     a = ctx.scenario.a_tilde
     a_aug = np.vstack([a, a.conj()])
-    inv = ctx.aug_inv1 if h else ctx.aug_inv0
-    z = inv @ (a_aug @ rho10)
+    mean_gap = a_aug @ rho10
+    if not np.any(mean_gap):
+        raise DegenerateWeightsError(
+            "weight direction vanishes (A_tilde (pd - pf) is zero)")
+    z = ctx.aug_inv[h] @ mean_gap
     n = ctx.scenario.n_antennas
     # the solution of the structured system is augmented-consistent by
     # construction; enforce it exactly to kill roundoff drift
@@ -182,9 +167,8 @@ def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
         raise np.linalg.LinAlgError("widely-linear weight solve lost augmented structure")
     z = augment(z[:n])
     norm = np.linalg.norm(z)
-    if norm < 1e-150:
-        raise DegenerateWeightsError(
-            "weight direction vanishes (zero mean channel matrix)")
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise np.linalg.LinAlgError(f"widely-linear weight norm is {norm:g} (out of range)")
     return z / norm
 
 
@@ -224,9 +208,9 @@ def igmm_rule(y, ctx: RuleContext):
     two hypotheses' augmented covariances.
     """
     ya = augment(y)
-    d1 = ya - augment(ctx.char1.mean)[None, :]
-    d0 = ya - augment(ctx.char0.mean)[None, :]
-    return _quad_form_batch(d0, ctx.aug_inv0) - _quad_form_batch(d1, ctx.aug_inv1)
+    q0, q1 = (_quad_form_batch(ya - augment(c.mean)[None, :], inv)
+              for c, inv in zip(ctx.char, ctx.aug_inv))
+    return q0 - q1
 
 
 # The jammer-aware kernels build on RuleContext and llr above.

@@ -200,7 +200,7 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
     clean = np.r_[r:n, n + r:2 * n]
     u_aug = scipy.linalg.block_diag(jammer.u_j, jammer.u_j.conj())
     u_c, solvers = [], []
-    for char in (ctx.char0, ctx.char1):
+    for char in ctx.char:
         s_a = u_aug.conj().T @ char.aug_cov @ u_aug
         lc, uc = np.linalg.eigh(s_a[np.ix_(clean, clean)])
         u_c.append(uc)
@@ -220,7 +220,7 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     if ws is None:
         ws = build_workspace(ctx, jammer)
     loglik = []
-    for char, uc, solver in zip((ctx.char0, ctx.char1), ws.u_c, ws.solvers):
+    for char, uc, solver in zip(ctx.char, ws.u_c, ws.solvers):
         s = (y_s - char.mean[None, :]) @ jammer.u_j.conj()
         v2 = np.abs(augment(s)[:, ws.clean] @ uc.conj()) ** 2
         loglik.append(solver.loglik(v2, solver.solve_batch(v2)))

@@ -15,6 +15,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,17 +110,15 @@ class Engine:
         self.scenario = scenario
         self.ctx = fusion_rules.make_context(scenario)
         self.jammer = jammer
-        self._ws = None
         self.seed = int(seed)
         self.block = int(block)
         self.threads = int(threads)
         self._cache: dict = {}
 
-    @property
+    @cached_property
     def workspace(self):
-        if self._ws is None and self.jammer is not None:
-            self._ws = jamming_rules.build_workspace(self.ctx, self.jammer)
-        return self._ws
+        return (None if self.jammer is None
+                else jamming_rules.build_workspace(self.ctx, self.jammer))
 
     def _draw_block(self, h: int, stream: int, b: int, size: int) -> SampleBatch:
         rng = np.random.default_rng(

@@ -81,6 +81,9 @@ class SensorParams:
     pf: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([*self.position, self.beta, self.kappa, self.theta,
+                                   self.pd, self.pf])):
+            raise ValueError(f"sensor parameters must be finite, got {self}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.kappa < 0:
@@ -172,8 +175,8 @@ class WsnScenario:
     def __post_init__(self):
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be positive")
+        if not (np.isfinite(self.noise_power) and self.noise_power > 0):
+            raise ValueError(f"noise_power must be finite and positive, got {self.noise_power}")
         if not self.sensors:
             raise ValueError("need at least one sensor")
         sens = tuple(self.sensors)
@@ -236,6 +239,9 @@ class JammerScenario:
         kappa = np.asarray(self.kappa, dtype=float)
         if phi.ndim != 1 or beta.shape != phi.shape or kappa.shape != phi.shape:
             raise ValueError("phi, beta, kappa must be 1-d arrays of equal length")
+        positions = () if self.positions is None else np.asarray(self.positions, dtype=float)
+        if not (np.all(np.isfinite([phi, beta, kappa])) and np.all(np.isfinite(positions))):
+            raise ValueError("jammer phi, beta, kappa and positions must be finite")
         if np.any(beta <= 0) or np.any(kappa < 0):
             raise ValueError("jammer gains must be positive and kappa nonnegative")
         r = phi.size
@@ -253,7 +259,7 @@ class JammerScenario:
         set_(self, "u_j", _lock(u))
         set_(self, "p_perp", _lock(u[:, r:] @ u[:, r:].conj().T))
         if self.positions is not None:
-            set_(self, "positions", _lock(np.asarray(self.positions, dtype=float)))
+            set_(self, "positions", _lock(positions))
 
     @property
     def rank(self) -> int:
@@ -355,14 +361,15 @@ def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
 def load_scenario(path):
     """Load a scenario file; returns (wsn, jammer-or-None).
 
-    Keys this version does not read are ignored.  A missing or malformed
-    entry raises ValueError naming the file.  A jammer whose symbols are not
+    Keys this version does not read are ignored.  A file that is not JSON,
+    or a missing, malformed or non-finite entry, raises ValueError naming the
+    file.  A jammer whose symbols are not
     uniform-phase (files of older versions could hold a constant-symbol
     jammer) is rejected: ``signal_model.draw_psi`` is the only symbol model.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         w = doc["wsn"]
         sensors = tuple(
             SensorParams(position=tuple(w["positions"][i]), beta=w["beta"][i],
@@ -376,9 +383,8 @@ def load_scenario(path):
             return wsn, None
         j = doc["jammer"]
         if j.get("signal_policy", "uniform-phase") != "uniform-phase":
-            raise ValueError(f"scenario file {path}: jammer symbol policy "
-                             f"{j['signal_policy']!r} is not supported "
-                             "(only uniform-phase)")
+            raise ValueError(f"jammer symbol policy {j['signal_policy']!r} is not "
+                             "supported (only uniform-phase)")
         return wsn, JammerScenario(
             phi=np.array(j["phi"]), beta=np.array(j["beta"]), kappa=np.array(j["kappa"]),
             n_antennas=wsn.n_antennas,
@@ -387,3 +393,5 @@ def load_scenario(path):
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"scenario file {path}: missing or malformed entry "
                          f"({type(exc).__name__}: {exc})") from None
+    except ValueError as exc:  # not JSON, or a parameter out of range
+        raise ValueError(f"scenario file {path}: {exc}") from None

@@ -30,6 +30,10 @@ H1 = 1
 MAX_ENUM_K = 16
 
 
+class UnsupportedSizeError(ValueError):
+    """Raised when the 2^K decision vectors are asked for with K > MAX_ENUM_K."""
+
+
 def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
     """Circular complex normal CN(0, var) entries of the given shape."""
     scale = np.sqrt(var / 2.0)
@@ -39,7 +43,8 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
 def enumerate_decisions(k: int) -> np.ndarray:
     """All 2^k decision vectors, row j holding the bits of j (sensor k = bit k)."""
     if k > MAX_ENUM_K:
-        raise ValueError(f"decision enumeration capped at K={MAX_ENUM_K}, got K={k}")
+        raise UnsupportedSizeError(
+            f"exact mixture statistics need K <= {MAX_ENUM_K} (K={k})")
     j = np.arange(2 ** k, dtype=np.uint32)
     return ((j[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int8)
 
@@ -114,8 +119,6 @@ class SecondOrderChar:
     cov: np.ndarray
     pcov: np.ndarray
     aug_cov: np.ndarray
-    sigma_e2: float
-    rho: np.ndarray
 
 
 def second_order_char(scenario: WsnScenario, h: int) -> SecondOrderChar:
@@ -133,5 +136,4 @@ def second_order_char(scenario: WsnScenario, h: int) -> SecondOrderChar:
     cov = at @ sigma_x @ at.conj().T + sigma_e2 * np.eye(n)
     pcov = at @ sigma_x @ at.T
     aug = np.block([[cov, pcov], [pcov.conj(), cov.conj()]])
-    return SecondOrderChar(mean=mean, cov=cov, pcov=pcov, aug_cov=aug,
-                           sigma_e2=sigma_e2, rho=rho)
+    return SecondOrderChar(mean=mean, cov=cov, pcov=pcov, aug_cov=aug)

@@ -27,10 +27,52 @@ def test_parse_grid_forms():
     assert cli.parse_grid("0:2.5:5") == (0.0, 2.5, 5.0)
 
 
-@pytest.mark.parametrize("bad", ["a:b:c", "0:0:5", "0:1", "0:-1:5", "1:2:3:4", ""])
+# non-finite values and points without a finite, positive linear power too
+@pytest.mark.parametrize("bad", ["a:b:c", "0:0:5", "0:1", "0:-1:5", "1:2:3:4", "",
+                                 "0:1:inf", "0:nan:5", "inf", "nan", "3100", "-3300",
+                                 "-3300:100:0"])
 def test_parse_grid_rejects_malformed_input(bad):
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(cli.UsageError, match="--sigma-grid"):
         cli.parse_grid(bad)
+
+
+def test_parse_grid_bounds_the_point_count_before_building_the_grid():
+    top = (cli.MAX_GRID_POINTS - 1) / 4     # below 3000 dBm, whose power overflows
+    assert len(cli.parse_grid(f"0:0.25:{top}")) == cli.MAX_GRID_POINTS
+    for huge in (f"0:0.25:{top + 0.25}", "0:1e-300:1", "-1e308:1:1e308"):
+        with pytest.raises(cli.UsageError, match="more than"):
+            cli.parse_grid(huge)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--sigma-grid", "0:1:inf"], "--sigma-grid"),
+    (["run", "--sigma-grid", "0:nan:5"], "--sigma-grid"),
+    (["run", "--sigma-grid", "inf"], "--sigma-grid"),
+    (["roc", "--sigma-dbm=nan"], "--sigma-dbm"),
+    (["roc", "--sigma-dbm=3100"], "--sigma-dbm"),
+    (["roc", "--sigma-dbm=-3300"], "--sigma-dbm"),
+    (["roc", "--levels", "0.1,abc"], "--levels"),
+])
+def test_noise_and_level_flags_are_checked_before_any_draw(tmp_path, monkeypatch, capsys,
+                                                           argv, flag):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before the flags were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--k", "3", "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and flag in err
+    assert not out.exists()
+
+
+def test_widely_linear_weights_that_underflow_are_a_numerical_error(tmp_path, capsys):
+    # at 2000 dBm the weights shrink like 1/sigma^2 until their norm
+    # underflows: a numerical failure (exit 4), not a degenerate direction
+    rc = cli.main(["run", "--rules", "wl0", "--k", "3", "--n", "2", "--sigma-grid", "2000",
+                   "--trials", "1000", "--pf0", "0.1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 4
+    assert "numerical error" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ exit codes

@@ -6,6 +6,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import ricianfusion as rf
@@ -101,13 +103,28 @@ def test_llr_batch_equals_single_calls(small_ctx):
 
 
 def test_llr_enumeration_cap_raises_cleanly():
-    wsn, _ = make_deployment(k=rf.MAX_ENUM_K + 1, n=3, seed=17)
+    wsn, jam = make_deployment(k=rf.MAX_ENUM_K + 1, n=3, seed=17, jammer="los-jam")
     ctx = rf.make_context(wsn)
-    assert ctx.llr_tables is None
+    y = np.ones((1, 3), dtype=complex)
+    # the context builds, and rules that do not enumerate keep working
+    assert np.all(np.isfinite(rf.evaluate("is", y, ctx)))
+    with pytest.raises(rf.UnsupportedSizeError, match="K <= 16"):
+        rf.llr(y, ctx)
     with pytest.raises(rf.UnsupportedSizeError):
-        rf.llr(np.zeros((1, 3), dtype=complex), ctx)
-    # other rules keep working without the enumeration tables
-    assert np.all(np.isfinite(rf.is_rule(np.ones((1, 3), dtype=complex), ctx)))
+        rf.evaluate_jam("clairvoyant", y, ctx, jam, psi=rf.draw_psi(
+            jam, np.random.default_rng(0), 1))
+    assert issubclass(rf.UnsupportedSizeError, ValueError)
+
+
+def test_llr_tables_are_built_on_first_read_only(small_ctx):
+    assert "llr_tables" not in vars(small_ctx)
+    y = np.zeros((1, small_ctx.scenario.n_antennas), dtype=complex)
+    rf.evaluate("is", y, small_ctx)
+    assert "llr_tables" not in vars(small_ctx)
+    rf.llr(y, small_ctx)
+    tables = small_ctx.llr_tables
+    rf.llr(y, small_ctx)
+    assert small_ctx.llr_tables is tables
 
 
 # ------------------------------------------------------------------- is / nlos
@@ -177,8 +194,8 @@ def random_augmented_direction(rng, n):
 
 
 def deflection(z, ctx, h):
-    delta = rf.augment(ctx.char1.mean) - rf.augment(ctx.char0.mean)
-    cov = (ctx.char1 if h else ctx.char0).aug_cov
+    delta = rf.augment(ctx.char[1].mean) - rf.augment(ctx.char[0].mean)
+    cov = ctx.char[h].aug_cov
     num = abs(np.vdot(z, delta)) ** 2
     den = np.real(np.vdot(z, cov @ z))
     return num / den
@@ -259,12 +276,13 @@ def test_igmm_matches_direct_solve_mahalanobis_difference(small_ctx):
     rng = np.random.default_rng(16)
     ys = rf.crandn(rng, (32, small_ctx.scenario.n_antennas), var=2.0)
     got = rf.igmm_rule(ys, small_ctx)
+    c0, c1 = small_ctx.char
     for y, g in zip(ys, got):
         ya = rf.augment(y)
-        d0 = ya - rf.augment(small_ctx.char0.mean)
-        d1 = ya - rf.augment(small_ctx.char1.mean)
-        q0 = np.real(np.vdot(d0, np.linalg.solve(small_ctx.char0.aug_cov, d0)))
-        q1 = np.real(np.vdot(d1, np.linalg.solve(small_ctx.char1.aug_cov, d1)))
+        d0 = ya - rf.augment(c0.mean)
+        d1 = ya - rf.augment(c1.mean)
+        q0 = np.real(np.vdot(d0, np.linalg.solve(c0.aug_cov, d0)))
+        q1 = np.real(np.vdot(d1, np.linalg.solve(c1.aug_cov, d1)))
         assert g == pytest.approx(q0 - q1, rel=1e-9, abs=1e-9)
 
 
@@ -295,6 +313,41 @@ def test_rules_are_deterministic(small_ctx):
         b = rf.evaluate(rule, y, small_ctx)
         np.testing.assert_array_equal(a, b)
         assert np.all(np.isfinite(a))
+
+
+# the corners of the parameter range: few sensors, N = r + 1, extreme noise,
+# sensors that always or never transmit, and no or nearly pure LOS
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6),
+       n_r=st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       noise_dbm=st.floats(-150.0, 80.0),
+       rates=st.sampled_from([(0.5, 0.05), (1.0, 0.0), (1.0, 0.05), (0.5, 0.0)]),
+       kappa=st.sampled_from([0.0, 1e8]), jammer_kappa=st.sampled_from([None, 1e8]),
+       seed=st.integers(0, 1000))
+def test_every_kernel_is_finite_or_raises_a_named_error(k, n_r, noise_dbm, rates, kappa,
+                                                        jammer_kappa, seed):
+    n, r = n_r
+    wsn, jam = make_deployment(k=k, n=n, seed=seed, jammer="los-jam", jammer_rank=r,
+                               pd=rates[0], pf=rates[1])
+    wsn = type(wsn)(sensors=tuple(replace(s, kappa=kappa) for s in wsn.sensors),
+                    n_antennas=n, noise_power=float(rf.db_to_lin(noise_dbm)))
+    if jammer_kappa is not None:
+        jam = rf.JammerScenario(phi=jam.phi, beta=jam.beta, n_antennas=n,
+                                kappa=np.full(r, jammer_kappa))
+    ctx = rf.make_context(wsn)
+    ws = rf.build_workspace(ctx, jam)
+    for h in (rf.H0, rf.H1):
+        rng = np.random.default_rng(seed)
+        y, psi = rf.draw_jammed(wsn, jam, rf.draw_decisions(wsn, h, rng, 64), rng)
+        for name, rule in rf.RULES.items():
+            try:
+                vals = rule.kernel(y, ctx, jam, ws, psi)
+            # LinAlgError is the named numerical failure (exit 4): the
+            # widely-linear solve raises it when badly conditioned
+            except (rf.DegenerateWeightsError, rf.UnsupportedSizeError,
+                    np.linalg.LinAlgError):
+                continue
+            assert vals.shape == (64,) and np.all(np.isfinite(vals)), (name, h)
 
 
 def test_unknown_rule_rejected(small_ctx):

@@ -229,7 +229,7 @@ def test_workspace_invariants(jammed_pair):
     # leave nothing in the clean coordinates
     rotated = rf.augment(jam.a_j.T @ jam.u_j.conj())
     np.testing.assert_allclose(rotated[:, ws.clean], 0.0, atol=1e-12 * np.abs(rotated).max())
-    for i, char in enumerate((ctx.char0, ctx.char1)):
+    for i, char in enumerate(ctx.char):
         solver = ws.solvers[i]
         # basis change preserves the spectrum of the augmented covariance
         np.testing.assert_allclose(solver.lambda_a,

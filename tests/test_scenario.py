@@ -95,6 +95,8 @@ def test_sensor_params_validation():
         rf.SensorParams(position=(0, 0), beta=1.0, kappa=-1.0, theta=0.1, pd=0.5, pf=0.05)
     with pytest.raises(ValueError):
         rf.SensorParams(position=(0, 0), beta=1.0, kappa=1.0, theta=0.1, pd=0.05, pf=0.5)
+    with pytest.raises(ValueError, match="finite"):   # b = inf/inf would be NaN
+        rf.SensorParams(position=(0, 0), beta=1.0, kappa=math.inf, theta=0.1, pd=0.5, pf=0.05)
 
 
 # ---------------------------------------------------------------- generation
@@ -306,16 +308,37 @@ def test_older_format_scenario_file_loads_the_same_arrays(tmp_path, jammed_pair)
 
 
 @pytest.mark.parametrize("doc,named", [({"wsn": {"noise_power": 1.0}}, "'beta'"),
-                                       ([1, 2], "TypeError")])
+                                       ([1, 2], "TypeError"), ("{", "Expecting")])
 def test_malformed_scenario_file_exits_2_before_touching_the_output(tmp_path, capsys,
                                                                     doc, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "x.csv"
     rc = cli.main(["run", "--scenario", str(path), "--rules", "nlos", "--out", str(out)])
     assert rc == 2 and not out.exists()
     err = capsys.readouterr().err
     assert str(path) in err and named in err
+
+
+@pytest.mark.parametrize("part,key", [("jammer", "phi"), ("jammer", "kappa"),
+                                      ("wsn", "theta"), ("wsn", "beta"),
+                                      ("wsn", "noise_power")])
+def test_scenario_file_with_a_non_finite_number_exits_2_naming_the_file(
+        tmp_path, jammed_pair, capsys, part, key):
+    wsn, jam = jammed_pair
+    doc = _older_format_doc(wsn, jam)
+    bad = math.nan if key in ("phi", "theta", "noise_power") else math.inf
+    if key == "noise_power":
+        doc[part][key] = bad
+    else:
+        doc[part][key][0] = bad
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))       # json writes NaN and Infinity
+    out = tmp_path / "x.csv"
+    rc = cli.main(["run", "--scenario", str(path), "--rules", "nlos", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and str(path) in err and "finite" in err
 
 
 def test_constant_symbol_jammer_file_exits_2(tmp_path, jammed_pair, capsys):

@@ -30,7 +30,7 @@ def test_enumerate_decisions_bit_layout():
     np.testing.assert_array_equal(table[0], [0, 0, 0])
     np.testing.assert_array_equal(table[5], [1, 0, 1])   # 5 = 0b101, sensor k = bit k
     np.testing.assert_array_equal(table[7], [1, 1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(rf.UnsupportedSizeError):
         rf.enumerate_decisions(17)
 
 
@@ -131,8 +131,12 @@ def test_char_structure(small_wsn):
         np.testing.assert_array_equal(c.aug_cov[:n, n:], c.pcov)
         np.testing.assert_array_equal(c.aug_cov[n:, :n], c.pcov.conj())
         np.testing.assert_array_equal(c.aug_cov[n:, n:], c.cov.conj())
-        assert c.sigma_e2 == pytest.approx(
-            small_wsn.noise_power + small_wsn.nu @ small_wsn.rho(h), rel=1e-12)
+        # cov = A Sigma_x A^H + sigma_e2 I with sigma_e2 = noise + nu . rho(h)
+        at, rho = small_wsn.a_tilde, small_wsn.rho(h)
+        sigma_e2 = small_wsn.noise_power + small_wsn.nu @ rho
+        np.testing.assert_allclose(
+            c.cov - (at * (rho * (1 - rho))) @ at.conj().T, sigma_e2 * np.eye(n),
+            atol=1e-12 * sigma_e2)
 
 
 def test_identical_operating_points_make_hypotheses_indistinguishable(small_wsn):
