@@ -12,10 +12,9 @@ from .scenario import (DeploymentConfig, JammerScenario, SensorParams,
                        load_scenario, preset_config, save_scenario,
                        steering_vector)
 from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar,
-                           UnsupportedSizeError, augment, crandn,
-                           draw_decisions, draw_jammed, draw_psi,
-                           draw_received, enumerate_decisions,
-                           second_order_char)
+                           UnsupportedSizeError, crandn, draw_decisions,
+                           draw_jammed, draw_psi, draw_received,
+                           enumerate_decisions, real_coords, second_order_char)
 from .fusion_rules import (FREE_RULES, JAM_RULES, RULES, DegenerateWeightsError,
                            Rule, RuleContext, evaluate, igmm_rule, is_rule,
                            llr, make_context, nlos_rule, wl_rule, wl_weights)

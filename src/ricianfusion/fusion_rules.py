@@ -10,9 +10,10 @@ Six statistics, all real-valued and all "large under H1":
   igmm  improper-Gaussian moment-matched quadratic statistic
 
 Every kernel maps a batch of received vectors (T, N) to a (T,) array.
-``RuleContext`` carries the per-hypothesis moments and inverse augmented
-covariances, and the mixture tables once first read; ``wl0``/``wl1`` derive
-their weights from it per call.  ``RULES`` lists all ten statistics (these
+``RuleContext`` carries the per-hypothesis moments and inverse covariances of
+the real coordinates yr = [Re y; Im y], in which ``wl0``, ``wl1`` and ``igmm``
+work, and the mixture tables once first read; ``wl0``/``wl1`` derive their
+weights from it per call.  ``RULES`` lists all ten statistics (these
 six and the four jammer-aware ones of ``jamming_rules``) with what each needs.
 """
 
@@ -27,11 +28,9 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from .scenario import JammerScenario, WsnScenario
-from .signal_model import (H0, H1, SecondOrderChar, augment, enumerate_decisions,
+from .signal_model import (H0, H1, SecondOrderChar, enumerate_decisions, real_coords,
                            second_order_char)
 
-_HERM_RTOL = 1e-10
-_IMAG_TOL = 1e-10
 # why a widely-linear rule has no weight direction when pd = pf everywhere
 SAME_RATES = "identical transmit probabilities under both hypotheses"
 
@@ -40,12 +39,12 @@ class DegenerateWeightsError(ValueError):
     """Raised when the deflection-optimal weight direction is undefined."""
 
 
-def _hermitian_inv(m: np.ndarray) -> np.ndarray:
+def _symmetric_inv(m: np.ndarray) -> np.ndarray:
     # max-abs, not Frobenius, norms: squares would overflow at extreme noise powers
-    if np.abs(m - m.conj().T).max() > _HERM_RTOL * max(np.abs(m).max(), 1e-300):
-        raise np.linalg.LinAlgError("covariance matrix is not Hermitian within tolerance")
+    if np.abs(m - m.T).max() > 1e-10 * max(np.abs(m).max(), 1e-300):
+        raise np.linalg.LinAlgError("covariance matrix is not symmetric within tolerance")
     c, low = scipy.linalg.cho_factor(m)
-    return scipy.linalg.cho_solve((c, low), np.eye(m.shape[0], dtype=complex))
+    return scipy.linalg.cho_solve((c, low), np.eye(m.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class RuleContext:
 
     scenario: WsnScenario
     char: tuple[SecondOrderChar, SecondOrderChar]
-    aug_inv: tuple[np.ndarray, np.ndarray]
+    real_inv: tuple[np.ndarray, np.ndarray]
 
     @cached_property
     def llr_tables(self) -> _LlrTables:
@@ -91,7 +90,7 @@ class RuleContext:
 def make_context(scenario: WsnScenario) -> RuleContext:
     """Build a RuleContext; the mixture tables wait for their first reader."""
     char = tuple(second_order_char(scenario, h) for h in (H0, H1))
-    return RuleContext(scenario, char, tuple(_hermitian_inv(c.aug_cov) for c in char))
+    return RuleContext(scenario, char, tuple(_symmetric_inv(c.real_cov) for c in char))
 
 
 def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
@@ -143,73 +142,50 @@ def nlos_rule(y):
 def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     """Deflection-optimal widely-linear weights for hypothesis-h normalization.
 
-    z = Sigma_aug(h)^{-1} A_aug (rho1 - rho0), normalized to unit length.
+    w = R(h)^{-1} [Re m; Im m] with m = A_tilde (rho1 - rho0) and R(h) the
+    real-coordinate covariance, scaled to norm sqrt(2) so that w^T yr reads
+    as the unit-norm augmented weights T w / 2 (T = [[I, iI], [I, -iI]]).
     The direction is undefined (``DegenerateWeightsError``) when the two
-    hypotheses have identical transmit-probability vectors or A_aug (rho1 -
-    rho0) is exactly zero; a norm of z that underflows to 0 or is not finite
-    is a numerical failure (``LinAlgError``).
+    hypotheses have identical transmit-probability vectors or m is exactly
+    zero; a norm of w that underflows to 0 or is not finite is a numerical
+    failure (``LinAlgError``).
     """
     rho10 = ctx.scenario.pd - ctx.scenario.pf
     if np.all(rho10 == 0.0):
         raise DegenerateWeightsError(SAME_RATES)
-    a = ctx.scenario.a_tilde
-    a_aug = np.vstack([a, a.conj()])
-    mean_gap = a_aug @ rho10
+    mean_gap = ctx.scenario.a_tilde @ rho10
     if not np.any(mean_gap):
         raise DegenerateWeightsError(
             "weight direction vanishes (A_tilde (pd - pf) is zero)")
-    z = ctx.aug_inv[h] @ mean_gap
-    n = ctx.scenario.n_antennas
-    # the solution of the structured system is augmented-consistent by
-    # construction; enforce it exactly to kill roundoff drift
-    mismatch = np.abs(z[n:] - z[:n].conj()).max()
-    if mismatch > 1e-8 * max(np.abs(z).max(), 1e-300):
-        raise np.linalg.LinAlgError("widely-linear weight solve lost augmented structure")
-    z = augment(z[:n])
-    norm = np.linalg.norm(z)
+    w = ctx.real_inv[h] @ real_coords(mean_gap)
+    norm = np.linalg.norm(w)
     if not (np.isfinite(norm) and norm > 0.0):
         raise np.linalg.LinAlgError(f"widely-linear weight norm is {norm:g} (out of range)")
-    return z / norm
+    return w * (np.sqrt(2.0) / norm)
 
 
-def wl_rule(y, z: np.ndarray):
-    """Widely-linear statistic z^H [y; conj(y)].
-
-    ``z`` must be augmented-consistent (second half the conjugate of the
-    first); the inner product is then real up to roundoff, which is checked
-    before the imaginary part is dropped.
-    """
-    z = np.asarray(z, dtype=complex)
-    n2 = z.shape[0]
-    if n2 % 2:
-        raise ValueError("augmented weight vector must have even length")
-    n = n2 // 2
-    if np.abs(z[n:] - z[:n].conj()).max() > 1e-8 * max(np.abs(z).max(), 1e-300):
-        raise ValueError("weight vector is not augmented-consistent")
-    if y.shape[1] != n:
-        raise ValueError(f"received vector length {y.shape[1]} != {n}")
-    vals = augment(y) @ z.conj()
-    imag_max = np.abs(vals.imag).max(initial=0.0)
-    scale = max(np.abs(vals).max(initial=0.0), 1.0)
-    if imag_max > _IMAG_TOL * scale:
-        raise ValueError(f"widely-linear statistic has imaginary residue {imag_max:g}")
-    return vals.real
+def wl_rule(y, w: np.ndarray):
+    """Widely-linear statistic w^T [Re y; Im y] for real weights w of length 2N."""
+    w = np.asarray(w)
+    if not np.isrealobj(w) or w.shape != (2 * y.shape[1],):
+        raise ValueError(f"weights must be a real vector of length {2 * y.shape[1]}")
+    return real_coords(y) @ w
 
 
 def _quad_form_batch(d: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
-    # d^H M^{-1} d for each row d; M Hermitian so M^T = conj(M)
-    return np.sum(d.conj() * (d @ m_inv.conj()), axis=1).real
+    # d^T M^{-1} d for each row d
+    return np.sum(d * (d @ m_inv), axis=1)
 
 
 def igmm_rule(y, ctx: RuleContext):
     """Moment-matched improper-Gaussian quadratic statistic.
 
-    Difference of Mahalanobis distances of the augmented vector under the
-    two hypotheses' augmented covariances.
+    Difference of the Mahalanobis distances of [Re y; Im y] under the two
+    hypotheses' real-coordinate covariances; each equals the augmented
+    distance of [y; conj(y)] exactly.
     """
-    ya = augment(y)
-    q0, q1 = (_quad_form_batch(ya - augment(c.mean)[None, :], inv)
-              for c, inv in zip(ctx.char, ctx.aug_inv))
+    q0, q1 = (_quad_form_batch(real_coords(y - c.mean[None, :]), inv)
+              for c, inv in zip(ctx.char, ctx.real_inv))
     return q0 - q1
 
 

@@ -7,7 +7,7 @@
                the residual interference floor by ML, plug back in
   nlos-glrt    energy in the interference-free subspace
   igmm-glrt    improper-Gaussian moment-matched GLRT with the same
-               projection/ML-floor treatment in augmented coordinates
+               projection/ML-floor treatment in real coordinates
 
 The residual-floor ML step maximises a one-dimensional concentrated
 log-likelihood that depends on the trial only through the rotated
@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fusion_rules
 from .fusion_rules import RuleContext
 from .scenario import JammerScenario
-from .signal_model import augment
+from .signal_model import real_coords
 
 _LEVELS = 60  # halvings of [0, S], and bisection steps on a concave piece
 
@@ -180,10 +179,10 @@ class JammerWorkspace:
     """Trial-independent machinery of the moment-matched subspace GLRT.
 
     Depends only on (scenario, jammer) and holds what neither of them nor
-    the context holds: the indices of the 2(N-r) clean coordinates of an
-    augmented vector expressed in the jammer SVD basis, and per hypothesis
-    the eigenbasis of the clean covariance block and the precompiled floor
-    solver, which keeps both eigenvalue sets.
+    the context holds: the indices of the 2(N-r) clean coordinates of a
+    real-coordinate vector [Re s; Im s] with s = U_j^H y in the jammer SVD
+    basis, and per hypothesis the eigenbasis of the clean covariance block
+    and the precompiled floor solver, which keeps both eigenvalue sets.
     """
 
     clean: np.ndarray
@@ -198,13 +197,14 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
         raise ValueError("jammer and scenario disagree on the antenna count")
     r = jammer.rank
     clean = np.r_[r:n, n + r:2 * n]
-    u_aug = scipy.linalg.block_diag(jammer.u_j, jammer.u_j.conj())
+    u = jammer.u_j
+    q = np.block([[u.real, -u.imag], [u.imag, u.real]])  # U_j in real coordinates
     u_c, solvers = [], []
     for char in ctx.char:
-        s_a = u_aug.conj().T @ char.aug_cov @ u_aug
-        lc, uc = np.linalg.eigh(s_a[np.ix_(clean, clean)])
+        s_r = q.T @ char.real_cov @ q
+        lc, uc = np.linalg.eigh(s_r[np.ix_(clean, clean)])
         u_c.append(uc)
-        solvers.append(SigmaPolySolver(np.linalg.eigvalsh(s_a), np.maximum(lc, 0.0)))
+        solvers.append(SigmaPolySolver(np.linalg.eigvalsh(s_r), np.maximum(lc, 0.0)))
     return JammerWorkspace(clean=clean, u_c=tuple(u_c), solvers=tuple(solvers))
 
 
@@ -213,16 +213,17 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     """Moment-matched subspace GLRT.
 
     Per hypothesis: rotate the centered measurement into the jammer SVD
-    basis, keep the 2(N-r) clean augmented coordinates, estimate the
-    residual floor by ML there, and form the concentrated log-likelihood
-    difference.
+    basis, keep its 2(N-r) clean real coordinates, estimate the residual
+    floor by ML there, and form the concentrated log-likelihood difference.
+    That of the augmented [s; conj(s)] is the same: its eigenvalues and
+    energies are twice these, which shifts each maximum by -2N log 2.
     """
     if ws is None:
         ws = build_workspace(ctx, jammer)
     loglik = []
     for char, uc, solver in zip(ctx.char, ws.u_c, ws.solvers):
-        s = (y_s - char.mean[None, :]) @ jammer.u_j.conj()
-        v2 = np.abs(augment(s)[:, ws.clean] @ uc.conj()) ** 2
+        s = real_coords((y_s - char.mean[None, :]) @ jammer.u_j.conj())
+        v2 = (s[:, ws.clean] @ uc) ** 2
         loglik.append(solver.loglik(v2, solver.solve_batch(v2)))
     return 0.5 * (loglik[1] - loglik[0])
 

@@ -41,7 +41,6 @@ ROC_COLUMNS = ("rule", "target_pf0", "gamma", "pf0", "pd0", "trials")
 class SampleBatch:
     """A block-concatenated set of Monte Carlo channel uses."""
 
-    hypothesis: int
     y: np.ndarray                 # (T, N)
     x: np.ndarray                 # (T, K)
     psi: np.ndarray | None = None  # (T, r) jammer symbols when jammed
@@ -55,7 +54,6 @@ class CalibratedTest:
     gamma: float
     target_pf0: float
     achieved_pf0: float
-    achieved_stderr: float
     achieved_ci95: tuple[float, float]
     trials: int
 
@@ -86,12 +84,13 @@ def upper_quantile(values: np.ndarray, target_pf0: float) -> float:
     """
     if not (0.0 < target_pf0 < 1.0):
         raise ValueError(f"target_pf0 must be in (0, 1), got {target_pf0}")
-    v = np.sort(np.asarray(values, dtype=float))
+    v = np.asarray(values, dtype=float)
     n = v.size
     if n < 1:
         raise ValueError("need at least one calibration value")
     m = int(math.floor(target_pf0 * n + 1e-9))  # = n - ceil((1-p)*n)
-    return float(v[n - m - 1] if m < n else v[0]) if m else float(v[-1])
+    i = max(n - m - 1, 0)
+    return float(np.partition(v, i)[i])
 
 
 class Engine:
@@ -128,7 +127,7 @@ class Engine:
             y, psi = draw_jammed(self.scenario, self.jammer, x, rng)
         else:
             y, psi = draw_received(self.scenario, x, rng), None
-        return SampleBatch(hypothesis=h, y=y, x=x, psi=psi)
+        return SampleBatch(y=y, x=x, psi=psi)
 
     def sample(self, h: int, trials: int, stream: int) -> SampleBatch:
         key = (h, int(trials), int(stream))
@@ -139,7 +138,6 @@ class Engine:
             sizes.append(trials % self.block)
         parts = [self._draw_block(h, stream, b, s) for b, s in enumerate(sizes)]
         batch = SampleBatch(
-            hypothesis=h,
             y=np.concatenate([p.y for p in parts]),
             x=np.concatenate([p.x for p in parts]),
             psi=(np.concatenate([p.psi for p in parts])
@@ -198,8 +196,7 @@ def calibrate_threshold(engine: Engine, rule, target_pf0: float,
     stderr = math.sqrt(max(achieved * (1.0 - achieved), 1e-300) / trials)
     ci = (max(achieved - 1.96 * stderr, 0.0), min(achieved + 1.96 * stderr, 1.0))
     return CalibratedTest(rule=rule, gamma=gamma, target_pf0=target_pf0,
-                          achieved_pf0=achieved, achieved_stderr=stderr,
-                          achieved_ci95=ci, trials=trials)
+                          achieved_pf0=achieved, achieved_ci95=ci, trials=trials)
 
 
 def estimate_pd0(engine: Engine, test: CalibratedTest, trials: int) -> McEstimate:

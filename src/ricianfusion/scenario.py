@@ -362,10 +362,11 @@ def load_scenario(path):
     """Load a scenario file; returns (wsn, jammer-or-None).
 
     Keys this version does not read are ignored.  A file that is not JSON,
-    or a missing, malformed or non-finite entry, raises ValueError naming the
-    file.  A jammer whose symbols are not
-    uniform-phase (files of older versions could hold a constant-symbol
-    jammer) is rejected: ``signal_model.draw_psi`` is the only symbol model.
+    or a missing, malformed or non-finite entry (an antenna count that is not
+    a JSON integer included), raises ValueError naming the file.  A jammer
+    whose symbols are not uniform-phase (files of older versions could hold a
+    constant-symbol jammer) is rejected: ``signal_model.draw_psi`` is the only
+    symbol model.
     """
     try:
         with open(path) as fh:
@@ -377,7 +378,10 @@ def load_scenario(path):
                          pd=w["pd"][i], pf=w["pf"][i])
             for i in range(len(w["beta"]))
         )
-        wsn = WsnScenario(sensors=sensors, n_antennas=int(w["n_antennas"]),
+        n = w["n_antennas"]
+        if type(n) is not int:  # a JSON integer: neither 2.7 nor true
+            raise ValueError(f"n_antennas must be an integer, got {n!r}")
+        wsn = WsnScenario(sensors=sensors, n_antennas=n,
                           noise_power=float(w["noise_power"]))
         if "jammer" not in doc:
             return wsn, None

@@ -9,7 +9,9 @@ fading, and w ~ CN(0, sigma_w^2 I_N) thermal noise.  A jammer with
 unit-modulus symbols psi adds its LOS term ``JammerScenario.los(psi)`` plus
 sum_l sqrt(nu_l) g_l psi_l, g_l ~ CN(0, I_N): the same Rician link as a
 sensor's.  Complex-normal convention throughout: CN(0, s) has real and
-imaginary parts N(0, s/2).
+imaginary parts N(0, s/2).  y is improper (its pseudo-covariance is nonzero
+under LOS), so its second-order statistics are also kept in real
+coordinates [Re y; Im y], whose real symmetric covariance carries both.
 
 All drawing functions take and return batches with a leading trial axis.
 """
@@ -99,10 +101,10 @@ def draw_jammed(scenario: WsnScenario, jammer: JammerScenario, x,
     return y + jammer.los(psi) + scat, psi
 
 
-def augment(a: np.ndarray) -> np.ndarray:
-    """Append the conjugate along the last axis: (..., N) -> (..., 2N)."""
+def real_coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates [Re a; Im a] along the last axis: (..., N) -> (..., 2N)."""
     a = np.asarray(a)
-    return np.concatenate([a, a.conj()], axis=-1)
+    return np.concatenate([a.real, a.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -110,15 +112,15 @@ class SecondOrderChar:
     """Conditional mean/covariance of y under one hypothesis.
 
     ``cov`` is the (proper) covariance, ``pcov`` the pseudo-covariance
-    E{(y-m)(y-m)^T}, and ``aug_cov`` the 2N x 2N covariance of the augmented
-    vector [y; conj(y)] -- the received vector is improper whenever pcov is
-    nonzero, which is the generic LOS case.
+    E{(y-m)(y-m)^T}, and ``real_cov`` the 2N x 2N real symmetric covariance
+    of ``real_coords(y)`` -- the received vector is improper whenever pcov is
+    nonzero, which is the generic LOS case, and real_cov carries both.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     pcov: np.ndarray
-    aug_cov: np.ndarray
+    real_cov: np.ndarray
 
 
 def second_order_char(scenario: WsnScenario, h: int) -> SecondOrderChar:
@@ -135,5 +137,6 @@ def second_order_char(scenario: WsnScenario, h: int) -> SecondOrderChar:
     n = scenario.n_antennas
     cov = at @ sigma_x @ at.conj().T + sigma_e2 * np.eye(n)
     pcov = at @ sigma_x @ at.T
-    aug = np.block([[cov, pcov], [pcov.conj(), cov.conj()]])
-    return SecondOrderChar(mean=mean, cov=cov, pcov=pcov, aug_cov=aug)
+    real = 0.5 * np.block([[(cov + pcov).real, (pcov - cov).imag],
+                           [(cov + pcov).imag, (cov - pcov).real]])
+    return SecondOrderChar(mean=mean, cov=cov, pcov=pcov, real_cov=real)

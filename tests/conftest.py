@@ -42,6 +42,23 @@ def jammed_pair():
     return wsn, jam
 
 
+def augment(a):
+    """Augmented form [a; conj(a)] along the last axis, the oracles' coordinates."""
+    a = np.asarray(a)
+    return np.concatenate([a, a.conj()], axis=-1)
+
+
+def aug_cov(char):
+    """Covariance of the augmented vector [y; conj(y)], built from cov and pcov."""
+    return np.block([[char.cov, char.pcov], [char.pcov.conj(), char.cov.conj()]])
+
+
+def real_to_aug(n):
+    """T = [[I, iI], [I, -iI]], which maps [Re y; Im y] to [y; conj(y)]."""
+    i = np.eye(n)
+    return np.block([[i, 1j * i], [i, -1j * i]])
+
+
 def moment_zscores(char, y):
     """Per-entry z-scores of empirical mean/cov/pcov of y against ``char``.
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import ricianfusion as rf
-from conftest import force_ideal, force_kappa_zero, make_deployment
+from conftest import (aug_cov, augment, force_ideal, force_kappa_zero, make_deployment,
+                      real_to_aug)
 
 mp.mp.dps = 60
 
@@ -194,16 +195,21 @@ def random_augmented_direction(rng, n):
 
 
 def deflection(z, ctx, h):
-    delta = rf.augment(ctx.char[1].mean) - rf.augment(ctx.char[0].mean)
-    cov = ctx.char[h].aug_cov
+    delta = augment(ctx.char[1].mean) - augment(ctx.char[0].mean)
+    cov = aug_cov(ctx.char[h])
     num = abs(np.vdot(z, delta)) ** 2
     den = np.real(np.vdot(z, cov @ z))
     return num / den
 
 
+def augmented_weights(w):
+    """The augmented weights z = T w / 2 that read z^H [y; conj(y)] = w^T [Re y; Im y]."""
+    return real_to_aug(w.size // 2) @ w / 2
+
+
 @pytest.mark.parametrize("h", [0, 1])
 def test_wl_weights_maximize_deflection_over_random_probes(small_ctx, h):
-    z_opt = rf.wl_weights(small_ctx, h)
+    z_opt = augmented_weights(rf.wl_weights(small_ctx, h))
     best = deflection(z_opt, small_ctx, h)
     rng = np.random.default_rng(100 + h)
     n = small_ctx.scenario.n_antennas
@@ -217,18 +223,24 @@ def test_wl_weights_maximize_deflection_over_random_probes(small_ctx, h):
 
 
 def test_wl_weights_are_unit_norm(small_ctx):
+    # unit norm in augmented coordinates: ||w|| = sqrt(2) in real ones
     for h in (0, 1):
-        assert np.linalg.norm(rf.wl_weights(small_ctx, h)) == pytest.approx(1.0, rel=1e-12)
+        w = rf.wl_weights(small_ctx, h)
+        assert np.isrealobj(w)
+        assert np.linalg.norm(w) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert np.linalg.norm(augmented_weights(w)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_wl_statistic_with_basis_weights_reads_twice_the_real_part(small_ctx):
-    # z built from the first standard basis vector picks out 2*Re(y_1)
+    # augmented z = [e1; e1] from the first standard basis vector picks out
+    # 2*Re(y_1); its real weights are w = T^H z
     n = small_ctx.scenario.n_antennas
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
-    z = rf.augment(e1)
+    w = real_to_aug(n).conj().T @ augment(e1)
+    np.testing.assert_array_equal(w.imag, 0.0)
     y = rf.crandn(np.random.default_rng(21), (25, n), var=2.0)
-    np.testing.assert_allclose(rf.wl_rule(y, z), 2.0 * y[:, 0].real, rtol=1e-12)
+    np.testing.assert_allclose(rf.wl_rule(y, w.real), 2.0 * y[:, 0].real, rtol=1e-12)
 
 
 def test_wl_statistic_is_real_linear(small_ctx):
@@ -242,13 +254,15 @@ def test_wl_statistic_is_real_linear(small_ctx):
 
 
 def test_wl_rule_rejects_inconsistent_weights(small_ctx):
+    # weights are real and of length 2N; complex ones (even with a zero
+    # imaginary part) or any other length are rejected
     n = small_ctx.scenario.n_antennas
     rng = np.random.default_rng(15)
-    bad = rf.crandn(rng, 2 * n)          # generic vector: not augmented-consistent
-    with pytest.raises(ValueError):
-        rf.wl_rule(rf.crandn(rng, (1, n)), bad)
-    with pytest.raises(ValueError):
-        rf.wl_rule(rf.crandn(rng, (1, n)), np.ones(3, dtype=complex))
+    y = rf.crandn(rng, (1, n))
+    for bad in (rf.crandn(rng, 2 * n), np.ones(2 * n, dtype=complex), np.ones(3),
+                np.ones(2 * n + 2), np.ones((2 * n, 1))):
+        with pytest.raises(ValueError, match="real vector of length"):
+            rf.wl_rule(y, bad)
 
 
 def test_wl_weights_degenerate_when_hypotheses_coincide(small_wsn):
@@ -278,11 +292,11 @@ def test_igmm_matches_direct_solve_mahalanobis_difference(small_ctx):
     got = rf.igmm_rule(ys, small_ctx)
     c0, c1 = small_ctx.char
     for y, g in zip(ys, got):
-        ya = rf.augment(y)
-        d0 = ya - rf.augment(c0.mean)
-        d1 = ya - rf.augment(c1.mean)
-        q0 = np.real(np.vdot(d0, np.linalg.solve(c0.aug_cov, d0)))
-        q1 = np.real(np.vdot(d1, np.linalg.solve(c1.aug_cov, d1)))
+        ya = augment(y)
+        d0 = ya - augment(c0.mean)
+        d1 = ya - augment(c1.mean)
+        q0 = np.real(np.vdot(d0, np.linalg.solve(aug_cov(c0), d0)))
+        q1 = np.real(np.vdot(d1, np.linalg.solve(aug_cov(c1), d1)))
         assert g == pytest.approx(q0 - q1, rel=1e-9, abs=1e-9)
 
 
@@ -342,12 +356,33 @@ def test_every_kernel_is_finite_or_raises_a_named_error(k, n_r, noise_dbm, rates
         for name, rule in rf.RULES.items():
             try:
                 vals = rule.kernel(y, ctx, jam, ws, psi)
-            # LinAlgError is the named numerical failure (exit 4): the
-            # widely-linear solve raises it when badly conditioned
-            except (rf.DegenerateWeightsError, rf.UnsupportedSizeError,
-                    np.linalg.LinAlgError):
+            except (rf.DegenerateWeightsError, rf.UnsupportedSizeError):
                 continue
             assert vals.shape == (64,) and np.all(np.isfinite(vals)), (name, h)
+
+
+def test_wl_weights_solve_at_a_badly_conditioned_corner():
+    # K = 1, N = 2, -83 dBm, kappa = 80 dB: the H1 covariance has condition
+    # number ~6e7, and both weight vectors must match the augmented reference
+    wsn, jam = make_deployment(k=1, n=2, seed=0, jammer="los-jam", jammer_rank=1)
+    wsn = type(wsn)(sensors=tuple(replace(s, kappa=1e8, pd=0.5, pf=0.05)
+                                  for s in wsn.sensors),
+                    n_antennas=2, noise_power=float(rf.db_to_lin(-83.0)))
+    ctx = rf.make_context(wsn)
+    gap = augment(wsn.a_tilde @ (wsn.pd - wsn.pf))
+    rng = np.random.default_rng(0)
+    y, _ = rf.draw_jammed(wsn, jam, rf.draw_decisions(wsn, rf.H1, rng, 64), rng)
+    for h, name in ((rf.H1, "wl1"), (rf.H0, "wl0")):
+        got = rf.evaluate(name, y, ctx)
+        z = np.linalg.solve(aug_cov(ctx.char[h]), gap)
+        z /= np.linalg.norm(z)
+        ref = (augment(y) @ z.conj()).real
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
+        w = rf.wl_weights(ctx, h)
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(augmented_weights(w), z, rtol=1e-6,
+                                   atol=1e-6 * np.abs(z).max())
 
 
 def test_unknown_rule_rejected(small_ctx):

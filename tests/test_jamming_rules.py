@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 
 import ricianfusion as rf
 from dataclasses import replace
-from conftest import force_ideal, force_kappa_zero, make_deployment
+from conftest import aug_cov, force_ideal, force_kappa_zero, make_deployment
 from test_fusion_rules import iid_pmf, mp_mixture_llr
 
 
@@ -222,22 +222,26 @@ def test_workspace_invariants(jammed_pair):
     ctx = rf.make_context(wsn)
     ws = rf.build_workspace(ctx, jam)
     n, r = wsn.n_antennas, jam.rank
-    # halves of the augmented vector: [0..n) raw, [n..2n) conjugated; the
-    # first r coordinates of each half carry the jammer
+    # halves of the real coordinates: [0..n) real parts, [n..2n) imaginary
+    # parts; the first r coordinates of each half carry the jammer
     np.testing.assert_array_equal(ws.clean, [*range(r, n), *range(n + r, 2 * n)])
     # rotated as igmm_glrt rotates a measurement, the jammer's mixing columns
     # leave nothing in the clean coordinates
-    rotated = rf.augment(jam.a_j.T @ jam.u_j.conj())
+    rotated = rf.real_coords(jam.a_j.T @ jam.u_j.conj())
     np.testing.assert_allclose(rotated[:, ws.clean], 0.0, atol=1e-12 * np.abs(rotated).max())
     for i, char in enumerate(ctx.char):
         solver = ws.solvers[i]
-        # basis change preserves the spectrum of the augmented covariance
-        np.testing.assert_allclose(solver.lambda_a,
-                                   np.linalg.eigvalsh(char.aug_cov), atol=1e-8)
+        # the basis change preserves the spectrum of the real covariance,
+        # which is half that of the augmented one
+        np.testing.assert_allclose(solver.lambda_a, np.linalg.eigvalsh(char.real_cov),
+                                   atol=1e-8)
+        np.testing.assert_allclose(2.0 * solver.lambda_a,
+                                   np.linalg.eigvalsh(aug_cov(char)), atol=1e-8)
         assert solver.lambda_c.shape == (2 * (n - r),)
         assert solver.lambda_c.min() >= 0.0
-        uc = ws.u_c[i]        # eigenbasis of the clean block
-        np.testing.assert_allclose(uc.conj().T @ uc, np.eye(2 * (n - r)), atol=1e-10)
+        uc = ws.u_c[i]        # real orthonormal eigenbasis of the clean block
+        assert np.isrealobj(uc)
+        np.testing.assert_allclose(uc.T @ uc, np.eye(2 * (n - r)), atol=1e-10)
     mismatched = rf.make_context(wsn.with_(n_antennas=n + 1))
     with pytest.raises(ValueError):
         rf.build_workspace(mismatched, jam)

@@ -307,8 +307,17 @@ def test_older_format_scenario_file_loads_the_same_arrays(tmp_path, jammed_pair)
         np.testing.assert_array_equal(getattr(jam2, name), getattr(jam, name))
 
 
+def _one_sensor_doc(n_antennas):
+    return {"wsn": {"noise_power": 1.0, "n_antennas": n_antennas,
+                    "positions": [[300.0, 0.0]], "beta": [1.0], "kappa": [1.0],
+                    "theta": [0.5], "pd": [0.5], "pf": [0.05]}}
+
+
 @pytest.mark.parametrize("doc,named", [({"wsn": {"noise_power": 1.0}}, "'beta'"),
-                                       ([1, 2], "TypeError"), ("{", "Expecting")])
+                                       ([1, 2], "TypeError"), ("{", "Expecting"),
+                                       # int() would load these as 2 and 1
+                                       (_one_sensor_doc(2.7), "n_antennas"),
+                                       (_one_sensor_doc(True), "n_antennas")])
 def test_malformed_scenario_file_exits_2_before_touching_the_output(tmp_path, capsys,
                                                                     doc, named):
     path = tmp_path / "bad.json"

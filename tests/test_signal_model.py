@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ricianfusion as rf
-from conftest import make_deployment, moment_zscores
+from conftest import augment, aug_cov, make_deployment, moment_zscores, real_to_aug
 
 
 # ------------------------------------------------------------ primitives
@@ -34,15 +34,18 @@ def test_enumerate_decisions_bit_layout():
         rf.enumerate_decisions(17)
 
 
-def test_augment_layout():
+def test_real_coords_layout():
     v = np.array([1 + 2j, 3 - 1j])
-    np.testing.assert_array_equal(rf.augment(v), [1 + 2j, 3 - 1j, 1 - 2j, 3 + 1j])
-    # a batch of any row count, one row included, is augmented row by row
+    np.testing.assert_array_equal(rf.real_coords(v), [1.0, 3.0, 2.0, -1.0])
+    assert np.isrealobj(rf.real_coords(v))
+    # a batch of any row count, one row included, is converted row by row
     for batch in (np.array([[1j, 2.0]]), np.array([[1j, 2.0], [0.5, -1j]]),
                   np.arange(6, dtype=complex).reshape(3, 2) * (1 + 1j)):
-        got = rf.augment(batch)
+        got = rf.real_coords(batch)
         assert got.shape == (batch.shape[0], 2 * batch.shape[1])
-        np.testing.assert_array_equal(got, [rf.augment(row) for row in batch])
+        np.testing.assert_array_equal(got, [rf.real_coords(row) for row in batch])
+        # T maps the real coordinates onto the augmented vector
+        np.testing.assert_allclose(got @ real_to_aug(2).T, augment(batch), rtol=1e-15)
 
 
 # ------------------------------------------------------------ decisions
@@ -127,10 +130,14 @@ def test_char_structure(small_wsn):
         np.testing.assert_allclose(c.cov, c.cov.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(c.cov).min() > 0
         np.testing.assert_allclose(c.pcov, c.pcov.T, atol=1e-12)
-        np.testing.assert_array_equal(c.aug_cov[:n, :n], c.cov)
-        np.testing.assert_array_equal(c.aug_cov[:n, n:], c.pcov)
-        np.testing.assert_array_equal(c.aug_cov[n:, :n], c.pcov.conj())
-        np.testing.assert_array_equal(c.aug_cov[n:, n:], c.cov.conj())
+        # real_cov = T^H Sigma_aug T / 4, a real symmetric matrix
+        t = real_to_aug(n)
+        ref = t.conj().T @ aug_cov(c) @ t / 4
+        tol = 1e-12 * np.abs(ref).max()
+        assert np.isrealobj(c.real_cov)
+        np.testing.assert_allclose(c.real_cov, c.real_cov.T, atol=tol)
+        np.testing.assert_allclose(ref.imag, 0.0, atol=tol)
+        np.testing.assert_allclose(c.real_cov, ref.real, atol=tol)
         # cov = A Sigma_x A^H + sigma_e2 I with sigma_e2 = noise + nu . rho(h)
         at, rho = small_wsn.a_tilde, small_wsn.rho(h)
         sigma_e2 = small_wsn.noise_power + small_wsn.nu @ rho
@@ -147,7 +154,7 @@ def test_identical_operating_points_make_hypotheses_indistinguishable(small_wsn)
     c0 = rf.second_order_char(wsn, rf.H0)
     c1 = rf.second_order_char(wsn, rf.H1)
     np.testing.assert_array_equal(c0.mean, c1.mean)
-    np.testing.assert_array_equal(c0.aug_cov, c1.aug_cov)
+    np.testing.assert_array_equal(c0.real_cov, c1.real_cov)
 
 
 # ------------------------------------------------------------ jammer draws
