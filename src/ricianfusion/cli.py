@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from . import jamming_rules, montecarlo
 from .fusion_rules import RULES, SAME_RATES
 from .scenario import (JAMMER_PRESETS, PRESETS, DeploymentConfig, db_to_lin,
                        lin_to_db, load_scenario, preset_config, save_scenario)
-from .signal_model import H1, MAX_ENUM_K
+from .signal_model import H1, MAX_ENUM_K, real_coords
 
 SEED_ENV = "RICIANFUSION_SEED"
 # --k, --pd and --pf when a deployment is drawn; `run` leaves them None so that
@@ -81,16 +80,24 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
+def _no_repeats(items: tuple, flag: str, text: str) -> tuple:
+    if len(set(items)) < len(items):
+        raise UsageError(f"{flag} list {text!r} names an entry twice")
+    return items
+
+
 def _parse_list(text: str, kind, flag: str) -> tuple:
     try:
-        return tuple(kind(p) for p in text.split(","))
+        items = tuple(kind(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"bad {flag} list {text!r}") from None
+    return _no_repeats(items, flag, text)
 
 
 def _parse_rules(text: str, k: int, jammed: bool, same_rates: bool,
                  jammer_source: str = "--jammer") -> tuple[str, ...]:
-    rules = tuple(r.strip() for r in text.split(",") if r.strip())
+    rules = _no_repeats(tuple(r.strip() for r in text.split(",") if r.strip()),
+                        "--rules", text)
     for r in rules:
         if r not in RULES:
             raise UsageError(f"unknown rule {r!r}; choose from {', '.join(RULES)}")
@@ -159,16 +166,6 @@ def _jammer_preset(args) -> str | None:
     return None if args.jammer in (None, "none") else args.jammer
 
 
-def _force_kappa_zero(wsn):
-    return type(wsn)(sensors=tuple(replace(s, kappa=0.0) for s in wsn.sensors),
-                     n_antennas=wsn.n_antennas, noise_power=wsn.noise_power)
-
-
-def _force_ideal(wsn):
-    return type(wsn)(sensors=tuple(replace(s, pd=1.0, pf=0.0) for s in wsn.sensors),
-                     n_antennas=wsn.n_antennas, noise_power=wsn.noise_power)
-
-
 def _fmt_db(x: float) -> str:
     v = float(lin_to_db(x)) if x > 0 else float("-inf")
     return f"{v:9.2f}"
@@ -190,7 +187,7 @@ def cmd_generate(args) -> int:
     _check_antennas((args.n,), args.r if jammer_preset else None)
     wsn, jammer = montecarlo.draw_deployment(config, jammer_preset, [args.seed])
     if args.kappa_zero:
-        wsn = _force_kappa_zero(wsn)
+        wsn = wsn.with_(kappa=0.0)
     if args.out:
         save_scenario(args.out, config, wsn, jammer)
     print(f"# preset={args.preset} jammer={args.jammer} K={wsn.k_sensors} "
@@ -238,7 +235,8 @@ def cmd_run(args) -> int:
         jammer_preset = _jammer_preset(args)
         rules = _parse_rules(args.rules, args.k, jammer_preset is not None,
                              args.pd == args.pf)
-        presets = (args.preset or "intermediate").split(",")
+        presets = _parse_list(args.preset if args.preset is not None else "intermediate",
+                              str, "--preset")
         configs = [preset_config(preset, k_sensors=args.k, n_antennas=max(n_list),
                                  pd=args.pd, pf=args.pf, seed=args.seed)
                    for preset in presets]
@@ -258,8 +256,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    levels = (_parse_list(args.levels, float, "--levels")
-              if args.levels else montecarlo.DEFAULT_LEVELS)
+    levels = (montecarlo.DEFAULT_LEVELS if args.levels is None
+              else _parse_list(args.levels, float, "--levels"))
     _check_dbm((args.sigma_dbm,), "--sigma-dbm")
     jammer_preset = _jammer_preset(args)
     rules = _parse_rules(args.rules, args.k, jammer_preset is not None,
@@ -309,18 +307,14 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
         return montecarlo.Engine(wsn, jammer=jammer, seed=seed,
                                  threads=args.threads)
 
-    def deployment(preset, jam_preset=None, kappa_zero=False, ideal=False):
+    def deployment(preset, jam_preset=None, **changes):
         config = preset_config(preset, k_sensors=args.k, n_antennas=args.n,
                                pd=args.pd, pf=args.pf, seed=seed)
         wsn, jam = montecarlo.draw_deployment(config, jam_preset, [seed, 1])
-        if kappa_zero:
-            wsn = _force_kappa_zero(wsn)
-        if ideal:
-            wsn = _force_ideal(wsn)
-        return wsn, jam
+        return wsn.with_(**changes), jam
 
     if args.kappa_zero or run_all:
-        wsn, _ = deployment(args.preset, kappa_zero=True)
+        wsn, _ = deployment(args.preset, kappa=0.0)
         eng = new_engine(wsn)
         _check_equivalence("lemma1-is-nlos", eng, "is", "nlos", trials, results)
         _check_equivalence("lemma1-igmm-nlos", eng, "igmm", "nlos", trials, results)
@@ -330,8 +324,8 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
         # negligible next to the equivalent noise, then is/igmm must agree
         # in ranking
         wsn, _ = deployment("nlos")
-        a_aug = np.vstack([wsn.a_tilde, wsn.a_tilde.conj()])
-        lam_min = float(np.linalg.eigvalsh(a_aug @ a_aug.conj().T)[0])
+        ar = real_coords(wsn.a_tilde.T).T  # [Re A; Im A] = T^H [A; A*] / 2, T/sqrt(2) unitary
+        lam_min = 2.0 * float(np.linalg.eigvalsh(ar @ ar.T)[0])
         spread = max(float(np.max(r * (1 - r))) for r in (wsn.pf, wsn.pd))
         noise = wsn.noise_power
         for _ in range(60):
@@ -346,7 +340,7 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
 
     if args.is_assumption or run_all:
         wsn, jam = deployment(args.preset, jam_preset=jammer_preset or "los-jam",
-                              ideal=True)
+                              pd=1.0, pf=0.0)
         eng = new_engine(wsn)
         _check_equivalence("lemma3-igmm-is", eng, "igmm", "is", trials, results)
         _check_equivalence("wl-pair", eng, "wl0", "wl1", trials, results)
@@ -360,7 +354,7 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
     if run_all:
         # closed-form reduction of both subspace GLRTs with no LOS component
         wsn, jam = deployment(args.preset, jam_preset=jammer_preset or "los-jam",
-                              kappa_zero=True)
+                              kappa=0.0)
         eng = new_engine(wsn, jam)
         ctx = eng.ctx
         n = wsn.n_antennas
@@ -403,6 +397,9 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
 
 def cmd_verify(args) -> int:
     jammed = args.is_assumption or not args.kappa_zero  # all but --kappa-zero alone
+    if args.pd == args.pf and (args.kappa_zero or not args.is_assumption):
+        raise UsageError("the zero-Rician and full batteries are undefined at "
+                         f"--pd = --pf: {SAME_RATES}")
     _check_sizes(args.trials, montecarlo.DEFAULT_LEVELS, args.threads, (args.n,),
                  DeploymentConfig.jammer_rank if jammed else None)
     results = _verify_battery(args)

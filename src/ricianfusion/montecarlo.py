@@ -96,21 +96,20 @@ def upper_quantile(values: np.ndarray, target_pf0: float) -> float:
 class Engine:
     """Draws samples and evaluates rules for one (scenario, jammer) pair.
 
-    Samples are drawn in fixed-size blocks, block b of stream s seeded by
+    Samples are drawn in blocks of BLOCK trials, block b of stream s seeded by
     (seed, s, hypothesis, b); a small cache keeps the most recent batches so
     several rules can share common random numbers without redrawing.
     """
 
     def __init__(self, scenario: WsnScenario,
                  jammer: JammerScenario | None = None,
-                 seed: int = 0, block: int = BLOCK, threads: int = 1):
+                 seed: int = 0, threads: int = 1):
         if threads < 1:
             raise ValueError(f"need threads >= 1, got {threads}")
         self.scenario = scenario
         self.ctx = fusion_rules.make_context(scenario)
         self.jammer = jammer
         self.seed = int(seed)
-        self.block = int(block)
         self.threads = int(threads)
         self._cache: dict = {}
 
@@ -133,9 +132,9 @@ class Engine:
         key = (h, int(trials), int(stream))
         if key in self._cache:
             return self._cache[key]
-        sizes = [self.block] * (trials // self.block)
-        if trials % self.block:
-            sizes.append(trials % self.block)
+        sizes = [BLOCK] * (trials // BLOCK)
+        if trials % BLOCK:
+            sizes.append(trials % BLOCK)
         parts = [self._draw_block(h, stream, b, s) for b, s in enumerate(sizes)]
         batch = SampleBatch(
             y=np.concatenate([p.y for p in parts]),
@@ -151,7 +150,7 @@ class Engine:
     def eval(self, rule: str, batch: SampleBatch) -> np.ndarray:
         """Evaluate a RULES name on a batch, sliced across threads."""
         t = batch.y.shape[0]
-        slices = [slice(lo, min(lo + self.block, t)) for lo in range(0, t, self.block)]
+        slices = [slice(lo, min(lo + BLOCK, t)) for lo in range(0, t, BLOCK)]
         if rule not in fusion_rules.RULES:
             raise ValueError(
                 f"unknown rule {rule!r}; choose from {', '.join(fusion_rules.RULES)}")

@@ -5,13 +5,15 @@ next: sensor positions, large-scale gains, Rician factors, angles seen by the
 receive array, sensor operating points and -- optionally -- an interfering
 subspace transmitter.  Fast fading and noise are drawn per trial by the
 signal model on top of a scenario.  Sensors and jammer components share one
-Rician link model (``_rician_links``) and one placement draw (``_draw_links``).
+Rician link model (``_rician_links``), one placement draw (``_draw_links``)
+and one set of checks (``_check_links``); both hold one array entry per link,
+and every variant of a scenario is a ``dataclasses.replace`` (``with_``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +68,7 @@ def lin_to_db(x):
 
 @dataclass(frozen=True)
 class SensorParams:
-    """Per-sensor static parameters.
+    """One sensor's row of a ``WsnScenario``: a plain record with no checks.
 
     beta is the large-scale channel gain (linear), kappa the Rician factor
     (linear), theta the bearing seen by the array in [0, pi], and (pd, pf)
@@ -79,17 +81,6 @@ class SensorParams:
     theta: float
     pd: float
     pf: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([*self.position, self.beta, self.kappa, self.theta,
-                                   self.pd, self.pf])):
-            raise ValueError(f"sensor parameters must be finite, got {self}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if not (0.0 <= self.pf <= self.pd <= 1.0):
-            raise ValueError(f"need 0 <= pf <= pd <= 1, got pf={self.pf} pd={self.pd}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +129,28 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _floats(value, shape=None) -> np.ndarray:
+    """Read-only float copy of ``value`` (broadcast to ``shape``); no strings or None."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"expected real numbers, got {a.dtype} entries")
+    return _lock(np.full(a.shape if shape is None else shape, a, dtype=float))
+
+
+def _check_links(bearing, beta, kappa, positions) -> None:
+    """Both scenario classes' checks: nonempty 1-d bearings, finite values, beta > 0,
+    kappa >= 0, and one finite (x, y) row per link unless ``positions`` is None."""
+    if bearing.ndim != 1 or bearing.size == 0:
+        raise ValueError(f"need a nonempty 1-d array of bearings, got shape {bearing.shape}")
+    if not np.all(np.isfinite([bearing, beta, kappa])):
+        raise ValueError("bearings, gains and Rician factors must be finite")
+    if np.any(beta <= 0) or np.any(kappa < 0):
+        raise ValueError("gains beta must be positive and Rician factors kappa nonnegative")
+    if positions is not None and not (positions.shape == (bearing.size, 2)
+                                      and np.all(np.isfinite(positions))):
+        raise ValueError(f"positions must be {bearing.size} finite (x, y) rows")
+
+
 def _rician_links(theta, beta, kappa, n: int):
     """LOS fraction b = sqrt(kappa/(1+kappa)), scattered power nu = beta/(1+kappa)
     and LOS columns a(theta) sqrt(beta) b of Rician links to an n-antenna array."""
@@ -150,24 +163,24 @@ def _rician_links(theta, beta, kappa, n: int):
 class WsnScenario:
     """A realized sensor deployment plus receiver geometry/noise.
 
-    Derived arrays (mean channel matrix, per-sensor vectors, ...) are computed
-    once at construction and are read-only.  ``with_()`` re-derives them for
-    a different antenna count or noise power while keeping the per-sensor
-    parameters frozen -- that is how a sweep reuses one deployment across a
-    grid.
+    Sensor k is the Rician link (beta[k], kappa[k], theta[k]) at positions[k]
+    with the operating point (pd[k], pf[k]); beta, kappa, pd and pf broadcast
+    against theta.  Fields are kept as read-only copies and the derived arrays
+    are computed once.  A variant (another N or noise power, kappa = 0, ideal
+    sensors) is ``with_(**changes)``, which re-derives them.
     """
 
-    sensors: tuple[SensorParams, ...]
+    theta: np.ndarray
+    beta: np.ndarray
+    kappa: np.ndarray
+    pd: np.ndarray
+    pf: np.ndarray
+    positions: np.ndarray
     n_antennas: int
     noise_power: float
     # derived, filled in __post_init__
-    beta: np.ndarray = field(init=False, repr=False)
-    kappa: np.ndarray = field(init=False, repr=False)
-    theta: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     nu: np.ndarray = field(init=False, repr=False)
-    pd: np.ndarray = field(init=False, repr=False)
-    pf: np.ndarray = field(init=False, repr=False)
     a_tilde: np.ndarray = field(init=False, repr=False)
     mu_bar: np.ndarray = field(init=False, repr=False)
     nu_bar: float = field(init=False, repr=False)
@@ -177,16 +190,13 @@ class WsnScenario:
             raise ValueError("n_antennas must be >= 1")
         if not (np.isfinite(self.noise_power) and self.noise_power > 0):
             raise ValueError(f"noise_power must be finite and positive, got {self.noise_power}")
-        if not self.sensors:
-            raise ValueError("need at least one sensor")
-        sens = tuple(self.sensors)
-        object.__setattr__(self, "sensors", sens)
         set_ = object.__setattr__
-        set_(self, "beta", _lock(np.array([s.beta for s in sens])))
-        set_(self, "kappa", _lock(np.array([s.kappa for s in sens])))
-        set_(self, "theta", _lock(np.array([s.theta for s in sens])))
-        set_(self, "pd", _lock(np.array([s.pd for s in sens])))
-        set_(self, "pf", _lock(np.array([s.pf for s in sens])))
+        for name in ("theta", "beta", "kappa", "pd", "pf"):
+            set_(self, name, _floats(getattr(self, name), np.shape(self.theta)))
+        set_(self, "positions", _floats(self.positions))
+        _check_links(self.theta, self.beta, self.kappa, self.positions)
+        if not np.all((0.0 <= self.pf) & (self.pf <= self.pd) & (self.pd <= 1.0)):
+            raise ValueError(f"need 0 <= pf <= pd <= 1, got pf={self.pf} pd={self.pd}")
         links = _rician_links(self.theta, self.beta, self.kappa, self.n_antennas)
         for name, value in zip(("b", "nu", "a_tilde"), links):  # a_tilde: mean channel
             set_(self, name, _lock(value))
@@ -195,18 +205,22 @@ class WsnScenario:
 
     @property
     def k_sensors(self) -> int:
-        return len(self.sensors)
+        return self.theta.size
+
+    @property
+    def sensors(self) -> tuple[SensorParams, ...]:
+        """One ``SensorParams`` row per sensor, built from the arrays.  Nothing
+        in this package reads it; it serves the benchmark's reference model
+        (``perfbench/gate.py``), which iterates the rows."""
+        rows = np.column_stack([self.beta, self.kappa, self.theta, self.pd, self.pf]).tolist()
+        return tuple(SensorParams(tuple(p), *r) for p, r in zip(self.positions.tolist(), rows))
 
     def rho(self, h: int) -> np.ndarray:
         """Vector of marginal transmit probabilities under hypothesis h."""
         return self.pd if h else self.pf
 
-    def with_(self, n_antennas: int | None = None, noise_power: float | None = None) -> "WsnScenario":
-        return WsnScenario(
-            sensors=self.sensors,
-            n_antennas=self.n_antennas if n_antennas is None else n_antennas,
-            noise_power=self.noise_power if noise_power is None else noise_power,
-        )
+    def with_(self, **changes) -> "WsnScenario":
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,32 +248,24 @@ class JammerScenario:
 
     def __post_init__(self):
         set_ = object.__setattr__
-        phi = np.asarray(self.phi, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        kappa = np.asarray(self.kappa, dtype=float)
-        if phi.ndim != 1 or beta.shape != phi.shape or kappa.shape != phi.shape:
+        for name in ("phi", "beta", "kappa"):
+            set_(self, name, _floats(getattr(self, name)))
+        if self.positions is not None:
+            set_(self, "positions", _floats(self.positions))
+        if self.beta.shape != self.phi.shape or self.kappa.shape != self.phi.shape:
             raise ValueError("phi, beta, kappa must be 1-d arrays of equal length")
-        positions = () if self.positions is None else np.asarray(self.positions, dtype=float)
-        if not (np.all(np.isfinite([phi, beta, kappa])) and np.all(np.isfinite(positions))):
-            raise ValueError("jammer phi, beta, kappa and positions must be finite")
-        if np.any(beta <= 0) or np.any(kappa < 0):
-            raise ValueError("jammer gains must be positive and kappa nonnegative")
-        r = phi.size
-        n = self.n_antennas
+        _check_links(self.phi, self.beta, self.kappa, self.positions)
+        r, n = self.phi.size, self.n_antennas
         if not (1 <= r < n):
             raise ValueError(f"jammer rank must satisfy 1 <= r < N, got r={r}, N={n}")
-        set_(self, "phi", _lock(phi))
-        set_(self, "beta", _lock(beta))
-        set_(self, "kappa", _lock(kappa))
-        for name, value in zip(("b", "nu", "a_j"), _rician_links(phi, beta, kappa, n)):
+        links = _rician_links(self.phi, self.beta, self.kappa, n)
+        for name, value in zip(("b", "nu", "a_j"), links):
             set_(self, name, _lock(value))
         u, s, _ = np.linalg.svd(self.a_j, full_matrices=True)
         if s[-1] <= _RANK_RTOL * s[0]:
             raise ValueError("jammer mixing matrix is (numerically) rank deficient")
         set_(self, "u_j", _lock(u))
         set_(self, "p_perp", _lock(u[:, r:] @ u[:, r:].conj().T))
-        if self.positions is not None:
-            set_(self, "positions", _lock(positions))
 
     @property
     def rank(self) -> int:
@@ -270,11 +276,8 @@ class JammerScenario:
         top of the columns of ``a_j``, which carry b sqrt(beta) already."""
         return (psi * (self.b * np.sqrt(self.beta))) @ self.a_j.T
 
-    def with_(self, n_antennas: int) -> "JammerScenario":
-        return JammerScenario(
-            phi=self.phi, beta=self.beta, kappa=self.kappa,
-            n_antennas=n_antennas, positions=self.positions,
-        )
+    def with_(self, **changes) -> "JammerScenario":
+        return replace(self, **changes)
 
 
 def _draw_links(rng: np.random.Generator, n: int, shadow_db, rician_db):
@@ -298,14 +301,8 @@ def generate_wsn(config: DeploymentConfig, rng: np.random.Generator) -> WsnScena
     """Draw a sensor deployment; every sensor gets the configured (pd, pf)."""
     pos, beta, kappa, theta = _draw_links(rng, config.k_sensors, SENSOR_SHADOW_DB,
                                           config.rician_db)
-    sensors = tuple(
-        SensorParams(position=(float(pos[i, 0]), float(pos[i, 1])), beta=float(beta[i]),
-                     kappa=float(kappa[i]), theta=float(theta[i]),
-                     pd=config.pd, pf=config.pf)
-        for i in range(config.k_sensors)
-    )
-    return WsnScenario(sensors=sensors, n_antennas=config.n_antennas,
-                       noise_power=NOISE_POWER)
+    return WsnScenario(theta=theta, beta=beta, kappa=kappa, pd=config.pd, pf=config.pf,
+                       positions=pos, n_antennas=config.n_antennas, noise_power=NOISE_POWER)
 
 
 def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
@@ -331,28 +328,20 @@ def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
 # recomputed on load so the stored file stays small and readable.  The
 # "config" block records how the deployment was drawn; loading ignores it.
 
+_WSN_ARRAYS = ("beta", "kappa", "theta", "pd", "pf", "positions")
+
+
 def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
                   jammer: JammerScenario | None = None) -> None:
     doc = {
         "config": asdict(config),
-        "wsn": {
-            "noise_power": wsn.noise_power,
-            "n_antennas": wsn.n_antennas,
-            "positions": [list(s.position) for s in wsn.sensors],
-            "beta": [s.beta for s in wsn.sensors],
-            "kappa": [s.kappa for s in wsn.sensors],
-            "theta": [s.theta for s in wsn.sensors],
-            "pd": [s.pd for s in wsn.sensors],
-            "pf": [s.pf for s in wsn.sensors],
-        },
+        "wsn": {"noise_power": wsn.noise_power, "n_antennas": wsn.n_antennas,
+                **{name: getattr(wsn, name).tolist() for name in _WSN_ARRAYS}},
     }
     if jammer is not None:
-        doc["jammer"] = {
-            "phi": jammer.phi.tolist(),
-            "beta": jammer.beta.tolist(),
-            "kappa": jammer.kappa.tolist(),
-            "positions": None if jammer.positions is None else jammer.positions.tolist(),
-        }
+        doc["jammer"] = {name: getattr(jammer, name).tolist() for name in ("phi", "beta", "kappa")}
+        doc["jammer"]["positions"] = (None if jammer.positions is None
+                                      else jammer.positions.tolist())
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -372,28 +361,19 @@ def load_scenario(path):
         with open(path) as fh:
             doc = json.load(fh)
         w = doc["wsn"]
-        sensors = tuple(
-            SensorParams(position=tuple(w["positions"][i]), beta=w["beta"][i],
-                         kappa=w["kappa"][i], theta=w["theta"][i],
-                         pd=w["pd"][i], pf=w["pf"][i])
-            for i in range(len(w["beta"]))
-        )
+        arrays = {name: w[name] for name in _WSN_ARRAYS}  # "beta" first: names it if absent
         n = w["n_antennas"]
         if type(n) is not int:  # a JSON integer: neither 2.7 nor true
             raise ValueError(f"n_antennas must be an integer, got {n!r}")
-        wsn = WsnScenario(sensors=sensors, n_antennas=n,
-                          noise_power=float(w["noise_power"]))
+        wsn = WsnScenario(**arrays, n_antennas=n, noise_power=float(w["noise_power"]))
         if "jammer" not in doc:
             return wsn, None
         j = doc["jammer"]
         if j.get("signal_policy", "uniform-phase") != "uniform-phase":
             raise ValueError(f"jammer symbol policy {j['signal_policy']!r} is not "
                              "supported (only uniform-phase)")
-        return wsn, JammerScenario(
-            phi=np.array(j["phi"]), beta=np.array(j["beta"]), kappa=np.array(j["kappa"]),
-            n_antennas=wsn.n_antennas,
-            positions=None if j.get("positions") is None else np.array(j["positions"]),
-        )
+        return wsn, JammerScenario(phi=j["phi"], beta=j["beta"], kappa=j["kappa"],
+                                   n_antennas=wsn.n_antennas, positions=j.get("positions"))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"scenario file {path}: missing or malformed entry "
                          f"({type(exc).__name__}: {exc})") from None

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 import ricianfusion as rf
-from ricianfusion.cli import _force_ideal as force_ideal  # noqa: F401
-from ricianfusion.cli import _force_kappa_zero as force_kappa_zero  # noqa: F401
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -18,6 +16,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+def force_ideal(wsn):
+    return wsn.with_(pd=1.0, pf=0.0)
+
+
+def force_kappa_zero(wsn):
+    return wsn.with_(kappa=0.0)
 
 
 def make_deployment(preset="intermediate", k=6, n=4, seed=0, jammer=None, **kw):

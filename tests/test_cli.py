@@ -66,6 +66,47 @@ def test_noise_and_level_flags_are_checked_before_any_draw(tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--preset", "los,los", "--n", "2"], "--preset"),
+    (["run", "--rules", "is,nlos,is", "--n", "2"], "--rules"),
+    (["run", "--n", "2,3,2"], "--n"),
+    (["run", "--preset=", "--n", "2"], "preset"),
+    (["roc", "--levels=", "--n", "2"], "--levels"),
+    (["roc", "--levels", "0.1,0.10", "--n", "2"], "--levels"),
+])
+def test_repeated_or_empty_list_entries_are_rejected_before_any_draw(
+        tmp_path, monkeypatch, capsys, argv, flag):
+    # a repeated preset would draw two deployments under one label, and a
+    # repeated rule or antenna count would write duplicate CSV rows
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before the lists were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--k", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("battery", [[], ["--kappa-zero"], ["--kappa-zero", "--is-assumption"]])
+def test_verify_with_pd_equal_to_pf_exits_2_before_any_draw(monkeypatch, capsys, battery):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a deployment was drawn before --pd/--pf were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", drawn)
+    argv = ["verify", *battery, "--pd", "0.3", "--pf", "0.3", "--k", "4", "--n", "3"]
+    assert cli.main(argv) == 2
+    assert "identical transmit probabilities" in capsys.readouterr().err
+
+
+def test_verify_is_assumption_alone_runs_at_pd_equal_to_pf(capsys):
+    # that battery forces ideal sensors, so the shared operating point is moot
+    argv = ["verify", "--is-assumption", "--pd", "0.3", "--pf", "0.3", "--k", "4", "--n", "3"]
+    assert cli.main(argv) == 0
+    assert "checks passed" in capsys.readouterr().out
+
+
 def test_widely_linear_weights_that_underflow_are_a_numerical_error(tmp_path, capsys):
     # at 2000 dBm the weights shrink like 1/sigma^2 until their norm
     # underflows: a numerical failure (exit 4), not a degenerate direction

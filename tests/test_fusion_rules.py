@@ -1,7 +1,6 @@
 """Interference-free fusion statistics against independent oracles."""
 
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -67,9 +66,7 @@ def test_llr_matches_oracle_with_an_ideal_sensor_k2():
     wsn, _ = make_deployment(k=2, n=3, seed=32)
     # an ideal first sensor (pd = 1, pf = 0) gives half of each mixture's
     # components probability zero: the log(0) = -inf component path
-    sensors = (replace(wsn.sensors[0], pd=1.0, pf=0.0),) + wsn.sensors[1:]
-    wsn = type(wsn)(sensors=sensors, n_antennas=wsn.n_antennas,
-                    noise_power=wsn.noise_power)
+    wsn = wsn.with_(pd=[1.0, wsn.pd[1]], pf=[0.0, wsn.pf[1]])
     pmf0, pmf1 = iid_pmf(wsn.pf, 2), iid_pmf(wsn.pd, 2)
     assert np.sum(pmf0 == 0.0) == 2 and np.sum(pmf1 == 0.0) == 2
     ctx = rf.make_context(wsn)
@@ -266,9 +263,7 @@ def test_wl_rule_rejects_inconsistent_weights(small_ctx):
 
 
 def test_wl_weights_degenerate_when_hypotheses_coincide(small_wsn):
-    same = type(small_wsn)(
-        sensors=tuple(replace(s, pd=0.4, pf=0.4) for s in small_wsn.sensors),
-        n_antennas=small_wsn.n_antennas, noise_power=small_wsn.noise_power)
+    same = small_wsn.with_(pd=0.4, pf=0.4)
     ctx = rf.make_context(same)
     for h, rule in ((0, "wl0"), (1, "wl1")):
         with pytest.raises(rf.DegenerateWeightsError, match="identical transmit"):
@@ -301,18 +296,14 @@ def test_igmm_matches_direct_solve_mahalanobis_difference(small_ctx):
 
 
 def test_llr_vanishes_when_hypotheses_coincide(small_wsn):
-    same = type(small_wsn)(
-        sensors=tuple(replace(s, pd=0.3, pf=0.3) for s in small_wsn.sensors),
-        n_antennas=small_wsn.n_antennas, noise_power=small_wsn.noise_power)
+    same = small_wsn.with_(pd=0.3, pf=0.3)
     ctx = rf.make_context(same)
     y = rf.crandn(np.random.default_rng(19), (30, small_wsn.n_antennas), var=5.0)
     np.testing.assert_allclose(rf.llr(y, ctx), 0.0, atol=1e-12)
 
 
 def test_igmm_vanishes_when_hypotheses_coincide(small_wsn):
-    same = type(small_wsn)(
-        sensors=tuple(replace(s, pd=0.25, pf=0.25) for s in small_wsn.sensors),
-        n_antennas=small_wsn.n_antennas, noise_power=small_wsn.noise_power)
+    same = small_wsn.with_(pd=0.25, pf=0.25)
     ctx = rf.make_context(same)
     y = rf.crandn(np.random.default_rng(17), (20, small_wsn.n_antennas))
     np.testing.assert_allclose(rf.igmm_rule(y, ctx), 0.0, atol=1e-9)
@@ -343,11 +334,9 @@ def test_every_kernel_is_finite_or_raises_a_named_error(k, n_r, noise_dbm, rates
     n, r = n_r
     wsn, jam = make_deployment(k=k, n=n, seed=seed, jammer="los-jam", jammer_rank=r,
                                pd=rates[0], pf=rates[1])
-    wsn = type(wsn)(sensors=tuple(replace(s, kappa=kappa) for s in wsn.sensors),
-                    n_antennas=n, noise_power=float(rf.db_to_lin(noise_dbm)))
+    wsn = wsn.with_(kappa=kappa, noise_power=float(rf.db_to_lin(noise_dbm)))
     if jammer_kappa is not None:
-        jam = rf.JammerScenario(phi=jam.phi, beta=jam.beta, n_antennas=n,
-                                kappa=np.full(r, jammer_kappa))
+        jam = jam.with_(kappa=np.full(r, jammer_kappa))
     ctx = rf.make_context(wsn)
     ws = rf.build_workspace(ctx, jam)
     for h in (rf.H0, rf.H1):
@@ -365,9 +354,7 @@ def test_wl_weights_solve_at_a_badly_conditioned_corner():
     # K = 1, N = 2, -83 dBm, kappa = 80 dB: the H1 covariance has condition
     # number ~6e7, and both weight vectors must match the augmented reference
     wsn, jam = make_deployment(k=1, n=2, seed=0, jammer="los-jam", jammer_rank=1)
-    wsn = type(wsn)(sensors=tuple(replace(s, kappa=1e8, pd=0.5, pf=0.05)
-                                  for s in wsn.sensors),
-                    n_antennas=2, noise_power=float(rf.db_to_lin(-83.0)))
+    wsn = wsn.with_(kappa=1e8, pd=0.5, pf=0.05, noise_power=float(rf.db_to_lin(-83.0)))
     ctx = rf.make_context(wsn)
     gap = augment(wsn.a_tilde @ (wsn.pd - wsn.pf))
     rng = np.random.default_rng(0)

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import ricianfusion as rf
-from dataclasses import replace
 from conftest import aug_cov, force_ideal, force_kappa_zero, make_deployment
 from test_fusion_rules import iid_pmf, mp_mixture_llr
 
@@ -289,9 +288,7 @@ def test_clairvoyant_cancels_matched_mean_shifts(jammed_pair):
 
 def test_clairvoyant_pure_los_jammer_reduces_to_shifted_llr(jammed_pair):
     wsn, jam = jammed_pair
-    los_only = rf.JammerScenario(phi=jam.phi, beta=jam.beta,
-                                 kappa=np.full(jam.rank, 1e16),
-                                 n_antennas=jam.n_antennas)
+    los_only = jam.with_(kappa=np.full(jam.rank, 1e16))
     assert float(los_only.nu.sum()) == 0.0      # no scattered inflation at all
     ctx = rf.make_context(wsn)
     rng = np.random.default_rng(53)
@@ -407,9 +404,7 @@ def test_nlos_glrt_decisions_match_direct_energy_thresholding(jammed_pair):
 
 def test_igmm_glrt_vanishes_when_hypotheses_coincide(jammed_pair):
     wsn, jam = jammed_pair
-    same = type(wsn)(
-        sensors=tuple(replace(s, pd=0.3, pf=0.3) for s in wsn.sensors),
-        n_antennas=wsn.n_antennas, noise_power=wsn.noise_power)
+    same = wsn.with_(pd=0.3, pf=0.3)
     ctx = rf.make_context(same)
     y = rf.crandn(np.random.default_rng(62), (25, wsn.n_antennas), var=3.0)
     np.testing.assert_allclose(rf.igmm_glrt(y, ctx, jam), 0.0, atol=1e-9)

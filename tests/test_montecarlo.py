@@ -74,12 +74,13 @@ def test_engine_results_do_not_depend_on_thread_count():
 def test_engine_blocking_is_invisible_in_the_sample():
     # trials that are not a multiple of the block size still concatenate the
     # same leading draws as a larger request on the same stream
+    block = rf.montecarlo.BLOCK
     wsn, _ = make_deployment(k=4, n=3, seed=72)
-    eng = rf.Engine(wsn, seed=1, block=128)
-    small = eng.sample(rf.H0, 300, stream=0)
-    big = rf.Engine(wsn, seed=1, block=128).sample(rf.H0, 384, stream=0)
-    np.testing.assert_array_equal(small.y[:256], big.y[:256])
-    assert small.y.shape == (300, 3)
+    small = rf.Engine(wsn, seed=1).sample(rf.H0, block + 300, stream=0)
+    big = rf.Engine(wsn, seed=1).sample(rf.H0, 2 * block, stream=0)
+    np.testing.assert_array_equal(small.y[:block], big.y[:block])
+    np.testing.assert_array_equal(small.x[:block], big.x[:block])
+    assert small.y.shape == (block + 300, 3)
 
 
 def test_engine_sample_cache_returns_same_object():

@@ -51,9 +51,8 @@ def test_db_conversions_round_trip():
 # ---------------------------------------------------------------- sensors
 
 def _one_sensor(beta, kappa, theta=1.0, n=3):
-    s = rf.SensorParams(position=(1.0, 2.0), beta=beta, kappa=kappa, theta=theta,
-                        pd=0.5, pf=0.05)
-    return rf.WsnScenario(sensors=(s,), n_antennas=n, noise_power=1.0)
+    return rf.WsnScenario(theta=[theta], beta=[beta], kappa=[kappa], pd=[0.5], pf=[0.05],
+                          positions=[[1.0, 2.0]], n_antennas=n, noise_power=1.0)
 
 
 def test_sensor_params_los_scattered_split_sums_to_beta():
@@ -89,14 +88,15 @@ def test_sensors_and_jammer_components_share_one_link_law(beta, kappa_db, bearin
 
 
 def test_sensor_params_validation():
+    wsn = _one_sensor(beta=1.0, kappa=1.0, theta=0.1)
     with pytest.raises(ValueError):
-        rf.SensorParams(position=(0, 0), beta=0.0, kappa=1.0, theta=0.1, pd=0.5, pf=0.05)
+        wsn.with_(beta=0.0)
     with pytest.raises(ValueError):
-        rf.SensorParams(position=(0, 0), beta=1.0, kappa=-1.0, theta=0.1, pd=0.5, pf=0.05)
+        wsn.with_(kappa=-1.0)
     with pytest.raises(ValueError):
-        rf.SensorParams(position=(0, 0), beta=1.0, kappa=1.0, theta=0.1, pd=0.05, pf=0.5)
+        wsn.with_(pd=0.05, pf=0.5)
     with pytest.raises(ValueError, match="finite"):   # b = inf/inf would be NaN
-        rf.SensorParams(position=(0, 0), beta=1.0, kappa=math.inf, theta=0.1, pd=0.5, pf=0.05)
+        wsn.with_(kappa=math.inf)
 
 
 # ---------------------------------------------------------------- generation
@@ -170,6 +170,45 @@ def test_sigma_e2_is_noise_plus_active_scattered_power():
     assert s2[0] == pytest.approx(wsn.noise_power)
     assert s2[15] == pytest.approx(wsn.noise_power + wsn.nu.sum())
     assert s2[0b0101] == pytest.approx(wsn.noise_power + wsn.nu[0] + wsn.nu[2])
+
+
+def test_link_arrays_broadcast_and_are_kept_as_read_only_copies():
+    theta = np.array([0.3, 1.2, 2.0])
+    pos = np.array([[100.0, 0.0], [0.0, 200.0], [-300.0, 10.0]])
+    wsn = rf.WsnScenario(theta=theta, beta=2.0, kappa=[1.0, 0.0, 4.0], pd=0.5, pf=0.05,
+                         positions=pos, n_antennas=3, noise_power=1.0)
+    assert wsn.k_sensors == 3
+    np.testing.assert_array_equal(wsn.beta, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(wsn.pd, [0.5, 0.5, 0.5])
+    for name in ("theta", "beta", "kappa", "pd", "pf", "positions"):
+        assert not getattr(wsn, name).flags.writeable, name
+    # the caller's arrays stay writable, and writing them leaves the scenario alone
+    theta[0], pos[0, 0] = 0.0, 0.0
+    assert wsn.theta[0] == 0.3 and wsn.positions[0, 0] == 100.0
+    assert wsn.sensors[1] == rf.SensorParams(position=(0.0, 200.0), beta=2.0, kappa=0.0,
+                                             theta=1.2, pd=0.5, pf=0.05)
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"beta": [1.0, 2.0]}, "broadcast"),
+    ({"theta": [[0.3, 1.2, 2.0]]}, "1-d"),
+    ({"theta": [], "beta": 1.0, "kappa": 1.0, "pd": 0.5, "pf": 0.05,
+      "positions": np.zeros((0, 2))}, "nonempty"),
+    ({"positions": [[0.0, 0.0]]}, "positions"),
+    ({"positions": [[0.0, 0.0], [1.0, 1.0], [math.nan, 0.0]]}, "positions"),
+    ({"pd": ["0.5", "0.5", "0.5"]}, "real numbers"),   # strings are not converted
+    ({"theta": None}, "real numbers"),
+])
+def test_link_arrays_that_do_not_fit_are_rejected(change, named):
+    wsn = rf.WsnScenario(theta=[0.3, 1.2, 2.0], beta=[1.0, 2.0, 3.0], kappa=1.0, pd=0.5,
+                         pf=0.05, positions=np.ones((3, 2)), n_antennas=3, noise_power=1.0)
+    with pytest.raises(ValueError, match=named):
+        wsn.with_(**change)
+
+
+def test_jammer_arrays_must_have_equal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        rf.JammerScenario(phi=[0.3, 1.0], beta=[1.0], kappa=[1.0, 1.0], n_antennas=4)
 
 
 def test_with_rebuilds_derived_arrays_but_keeps_sensors():
@@ -258,6 +297,15 @@ def test_scenario_file_round_trip(tmp_path, jammed_pair):
     np.testing.assert_array_equal(jam2.kappa, jam.kappa)
     np.testing.assert_array_equal(jam2.positions, jam.positions)
     np.testing.assert_array_equal(jam2.p_perp, jam.p_perp)
+
+
+def test_scenario_file_is_written_back_byte_for_byte(tmp_path, jammed_pair):
+    wsn, jam = jammed_pair
+    config = rf.preset_config("los", k_sensors=wsn.k_sensors, n_antennas=wsn.n_antennas)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    rf.save_scenario(first, config, wsn, jam)
+    rf.save_scenario(second, config, *rf.load_scenario(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_scenario_file_without_jammer(tmp_path, small_wsn):

@@ -147,10 +147,7 @@ def test_char_structure(small_wsn):
 
 
 def test_identical_operating_points_make_hypotheses_indistinguishable(small_wsn):
-    from dataclasses import replace
-    wsn = type(small_wsn)(
-        sensors=tuple(replace(s, pd=0.3, pf=0.3) for s in small_wsn.sensors),
-        n_antennas=small_wsn.n_antennas, noise_power=small_wsn.noise_power)
+    wsn = small_wsn.with_(pd=0.3, pf=0.3)
     c0 = rf.second_order_char(wsn, rf.H0)
     c1 = rf.second_order_char(wsn, rf.H1)
     np.testing.assert_array_equal(c0.mean, c1.mean)
@@ -173,9 +170,7 @@ def test_zero_jammer_symbols_reproduce_clean_channel(jammed_pair, monkeypatch):
 
 def test_pure_los_jammer_lives_in_the_interference_subspace(jammed_pair):
     wsn, jam = jammed_pair
-    los_only = rf.JammerScenario(phi=jam.phi, beta=jam.beta,
-                                 kappa=np.full(jam.rank, 1e16),
-                                 n_antennas=jam.n_antennas)
+    los_only = jam.with_(kappa=np.full(jam.rank, 1e16))
     x = rf.draw_decisions(wsn, rf.H1, np.random.default_rng(4), size=64)
     y = rf.draw_received(wsn, x, np.random.default_rng(66))
     y_s, _ = rf.draw_jammed(wsn, los_only, x, np.random.default_rng(66))
