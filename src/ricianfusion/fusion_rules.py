@@ -102,12 +102,15 @@ def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
     or never transmit.  Given a jammer and its per-trial unit-modulus
     symbols psi (T, r), each component mean is shifted by ``jammer.los(psi)``
     and each component variance inflated by the constant scattered power
-    sum(jammer.nu): the clairvoyant LRT.  Requires K <= MAX_ENUM_K
+    sum(jammer.nu): the clairvoyant LRT, which a jammer without its symbols
+    cannot form (``ValueError``).  Requires K <= MAX_ENUM_K
     (``UnsupportedSizeError`` otherwise).
     """
     tab = ctx.llr_tables
     s2 = tab.sigma_e2_all[None, :]
-    if jammer is not None and psi is not None:
+    if jammer is not None:
+        if psi is None:
+            raise ValueError("the clairvoyant LRT needs the jammer symbols psi")
         y = y - jammer.los(psi)
         s2 = s2 + jammer.nu.sum()
     t = y.shape[0]

@@ -130,11 +130,14 @@ class SigmaPolySolver:
         v = np.asarray(v_abs2, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.lambda_c.size:
             raise ValueError("expected (T, len(lambda_c)) energies")
-        if np.any(v < 0) or np.any(~np.isfinite(v)):
-            raise ValueError("squared magnitudes must be finite and nonnegative")
+        if not np.all(np.isfinite(v)):  # overflowed upstream: a numerical failure
+            raise np.linalg.LinAlgError("squared magnitudes must be finite")
+        if np.any(v < 0):
+            raise ValueError("squared magnitudes must be nonnegative")
         t, m, w = v.shape[0], self.lambda_a.size, v.sum(axis=1)
         row, lo = np.arange(t), np.zeros(t)
-        hi = (w + np.sqrt(w * w + 4.0 * m * w * self.lambda_a.max())) / (2.0 * m)
+        # S, with sqrt(W^2 + 4 M W a) split so that W^2 cannot overflow
+        hi = (w + np.sqrt(w) * np.sqrt(w + 4.0 * m * self.lambda_a.max())) / (2.0 * m)
         ends, concave = [(row, lo), (row, hi)], []
         for _ in range(_LEVELS):
             p_lo, q_lo, u_lo, r_lo = self._sums(v[row], lo)

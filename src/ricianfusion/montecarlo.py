@@ -93,12 +93,17 @@ def upper_quantile(values: np.ndarray, target_pf0: float) -> float:
     return float(np.partition(v, i)[i])
 
 
+def _blocks(trials: int) -> list[slice]:
+    """Block b of a stream is drawn, and evaluated, as rows ``_blocks(trials)[b]``."""
+    return [slice(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
+
+
 class Engine:
     """Draws samples and evaluates rules for one (scenario, jammer) pair.
 
-    Samples are drawn in blocks of BLOCK trials, block b of stream s seeded by
-    (seed, s, hypothesis, b); a small cache keeps the most recent batches so
-    several rules can share common random numbers without redrawing.
+    Block b of stream s is seeded by (seed, s, hypothesis, b) and ``eval``
+    hands each kernel the rows of one block.  Every batch drawn stays cached
+    so that several rules share common random numbers without redrawing.
     """
 
     def __init__(self, scenario: WsnScenario,
@@ -130,47 +135,42 @@ class Engine:
 
     def sample(self, h: int, trials: int, stream: int) -> SampleBatch:
         key = (h, int(trials), int(stream))
-        if key in self._cache:
-            return self._cache[key]
-        sizes = [BLOCK] * (trials // BLOCK)
-        if trials % BLOCK:
-            sizes.append(trials % BLOCK)
-        parts = [self._draw_block(h, stream, b, s) for b, s in enumerate(sizes)]
-        batch = SampleBatch(
-            y=np.concatenate([p.y for p in parts]),
-            x=np.concatenate([p.x for p in parts]),
-            psi=(np.concatenate([p.psi for p in parts])
-                 if self.jammer is not None else None),
-        )
-        if len(self._cache) >= 8:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = batch
-        return batch
+        if key not in self._cache:
+            parts = [self._draw_block(h, stream, b, sl.stop - sl.start)
+                     for b, sl in enumerate(_blocks(trials))]
+            self._cache[key] = SampleBatch(
+                y=np.concatenate([p.y for p in parts]),
+                x=np.concatenate([p.x for p in parts]),
+                psi=(np.concatenate([p.psi for p in parts])
+                     if self.jammer is not None else None))
+        return self._cache[key]
 
     def eval(self, rule: str, batch: SampleBatch) -> np.ndarray:
-        """Evaluate a RULES name on a batch, sliced across threads."""
-        t = batch.y.shape[0]
-        slices = [slice(lo, min(lo + BLOCK, t)) for lo in range(0, t, BLOCK)]
+        """Evaluate a RULES name on a batch, block by block across threads;
+        a statistic that is not finite is a numerical failure (LinAlgError)."""
         if rule not in fusion_rules.RULES:
             raise ValueError(
                 f"unknown rule {rule!r}; choose from {', '.join(fusion_rules.RULES)}")
-        elif rule in fusion_rules.JAM_RULES:
-            ws = self.workspace
+        jammed = rule in fusion_rules.JAM_RULES
+        ws = self.workspace if jammed else None  # built before the pool starts
 
-            def run(sl):
-                psi = None if batch.psi is None else batch.psi[sl]
-                return jamming_rules.evaluate_jam(rule, batch.y[sl], self.ctx,
-                                                  self.jammer, ws, psi=psi)
-        else:
-            def run(sl):
+        def run(sl):
+            if not jammed:
                 return fusion_rules.evaluate(rule, batch.y[sl], self.ctx)
+            psi = None if batch.psi is None else batch.psi[sl]
+            return jamming_rules.evaluate_jam(rule, batch.y[sl], self.ctx,
+                                              self.jammer, ws, psi=psi)
 
+        slices = _blocks(batch.y.shape[0])
         if self.threads == 1 or len(slices) == 1:
             outs = [run(sl) for sl in slices]
         else:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 outs = list(pool.map(run, slices))
-        return np.concatenate(outs)
+        out = np.concatenate(outs)
+        if not np.all(np.isfinite(out)):
+            raise np.linalg.LinAlgError(f"rule {rule!r} gave a statistic that is not finite")
+        return out
 
     def stats(self, rule, h: int, trials: int, stream: int) -> np.ndarray:
         return self.eval(rule, self.sample(h, trials, stream))

@@ -156,6 +156,33 @@ def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "usage error" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--rules", "is", "--n", "2", "--sigma-grid=-3230", "--pf0", "0.1"],
+    ["run", "--rules", "nlos,is,llr", "--n", "2", "--sigma-grid=3080", "--pf0", "0.1"],
+    ["run", "--rules", "igmm-glrt", "--jammer", "los-jam", "--n", "4", "--sigma-grid=3080",
+     "--pf0", "0.1"],
+    ["roc", "--n", "2", "--sigma-dbm=-3230", "--levels", "0.1"],
+])
+def test_a_statistic_that_is_not_finite_exits_4_and_writes_no_csv(tmp_path, capsys, argv):
+    # noise powers whose linear value is finite but at the edge of the float
+    # range: the kernels overflow, so the overflow warnings are expected here
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rc = cli.main([*argv, "--k", "3", "--trials", "1000", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "usage error" not in err
+    assert not out.exists()
+
+
+def test_igmm_glrt_near_the_float_limit_runs_without_a_warning(tmp_path, capsys):
+    # no errstate: any overflow warning fails the test run
+    rc = cli.main(["run", "--rules", "igmm-glrt", "--jammer", "los-jam", "--k", "3",
+                   "--n", "4", "--sigma-grid", "3000", "--trials", "1000", "--pf0", "0.1",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--trials", "500", "--pf0", "0.01"], "--trials >= 10000"),
     (["--pf0", "0"], "must lie in (0, 1)"),

@@ -187,8 +187,18 @@ def test_floor_solver_validation():
         solver.solve_batch(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
         solver.solve_batch(np.array([[1.0, -2.0]]))
+    for bad in (np.inf, np.nan):             # overflowed upstream: numerical
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve_batch(np.array([[1.0, bad]]))
     with pytest.raises(ValueError):          # batches only
         solver.solve_batch(np.array([1.0, 2.0]))
+
+
+def test_floor_solver_brackets_energies_near_the_float_limit():
+    # W^2 overflows at W ~ 1e300; the stationary point 1 + s = W/M is the floor
+    solver = rf.SigmaPolySolver(np.ones(4), np.ones(2))
+    s = solver.solve_batch(np.array([[1e300, 3e300]]))
+    np.testing.assert_allclose(s, [1e300], rtol=1e-9)
 
 
 # ------------------------------------------------------------------ piecewise
@@ -254,6 +264,15 @@ def test_clairvoyant_without_jammer_is_the_plain_llr(small_ctx):
     y = rf.crandn(rng, (25, n), var=2.0)
     got = rf.evaluate_jam("clairvoyant", y, small_ctx, None)
     np.testing.assert_array_equal(got, rf.llr(y, small_ctx))
+
+
+def test_clairvoyant_with_a_jammer_needs_its_symbols(jammed_pair):
+    # without psi the jammer must not be dropped in silence (the plain llr)
+    wsn, jam = jammed_pair
+    ctx = rf.make_context(wsn)
+    y = rf.crandn(np.random.default_rng(62), (8, wsn.n_antennas), var=2.0)
+    with pytest.raises(ValueError, match="jammer symbols"):
+        rf.evaluate_jam("clairvoyant", y, ctx, jam, rf.build_workspace(ctx, jam))
 
 
 def test_clairvoyant_matches_shift_and_inflation_oracle_k1():
