@@ -40,6 +40,7 @@ JAMMER_CHOICES = ["none", *sorted(JAMMER_PRESETS)]
 # an option value with a leading minus sign, e.g. the grid -10:5:10
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 MAX_GRID_POINTS = 10_000  # noise points one --sigma-grid may hold
+DBM_LIMIT = 1000.0  # |noise power| in dBm; every statistic is finite within it
 
 
 class UsageError(ValueError):
@@ -47,19 +48,17 @@ class UsageError(ValueError):
 
 
 def _check_dbm(values, flag: str) -> None:
-    """Reject dBm values whose linear power is not finite and positive."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = db_to_lin(values)
-    for v, p in zip(values, power):
-        if not (np.isfinite(p) and p > 0.0):
-            raise UsageError(f"{flag} value {v} dBm has no finite, positive linear power")
+    """Reject dBm values outside the noise-power domain (NaN included)."""
+    for v in values:
+        if not -DBM_LIMIT <= v <= DBM_LIMIT:
+            raise UsageError(f"{flag} value {v} dBm lies outside [-{DBM_LIMIT:g}, {DBM_LIMIT:g}]")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse '--sigma-grid start:step:stop' (inclusive) or a single value, in dBm.
 
     The point count is bounded before any point is built, and every point
-    must have a finite, positive linear power.
+    must lie in the noise-power domain.
     """
     parts = text.split(":")
     try:
@@ -314,6 +313,8 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
 
     # one draw of --preset for every battery, with a jammer where one is used
     jammed = run_all or (args.is_assumption and jammer_preset is not None)
+    _check_sizes(trials, montecarlo.DEFAULT_LEVELS, args.threads, (args.n,),
+                 DeploymentConfig.jammer_rank if jammed else None)
     wsn, jam = deployment(args.preset, (jammer_preset or "los-jam") if jammed else None)
     flat = wsn.with_(kappa=0.0)
 
@@ -383,12 +384,9 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    jammed = args.is_assumption or not args.kappa_zero  # all but --kappa-zero alone
     if args.pd == args.pf and (args.kappa_zero or not args.is_assumption):
         raise UsageError("the zero-Rician and full batteries are undefined at "
                          f"--pd = --pf: {SAME_RATES}")
-    _check_sizes(args.trials, montecarlo.DEFAULT_LEVELS, args.threads, (args.n,),
-                 DeploymentConfig.jammer_rank if jammed else None)
     results = _verify_battery(args)
     failed = 0
     for name, ok, detail in results:

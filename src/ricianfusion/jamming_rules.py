@@ -181,52 +181,47 @@ def solve_sigma_poly(lambda_a, lambda_c, v_abs2) -> float:
 class JammerWorkspace:
     """Trial-independent machinery of the moment-matched subspace GLRT.
 
-    Depends only on (scenario, jammer) and holds what neither of them nor
-    the context holds: the indices of the 2(N-r) clean coordinates of a
-    real-coordinate vector [Re s; Im s] with s = U_j^H y in the jammer SVD
-    basis, and per hypothesis the eigenbasis of the clean covariance block
-    and the precompiled floor solver, which keeps both eigenvalue sets.
+    Depends only on (scenario, jammer) and holds per hypothesis ``basis``,
+    the real orthonormal eigenbasis (2N x 2(N-r)) of the covariance of the
+    clean coordinates, written in the real coordinates of y, and the
+    precompiled floor solver, which keeps both eigenvalue sets.
     """
 
-    clean: np.ndarray
-    u_c: tuple[np.ndarray, np.ndarray]
+    basis: tuple[np.ndarray, np.ndarray]
     solvers: tuple[SigmaPolySolver, SigmaPolySolver]
 
 
 def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace:
     """Precompute the subspace-GLRT workspace for both hypotheses."""
-    n = ctx.scenario.n_antennas
-    if jammer.n_antennas != n:
+    if jammer.n_antennas != ctx.scenario.n_antennas:
         raise ValueError("jammer and scenario disagree on the antenna count")
-    r = jammer.rank
-    clean = np.r_[r:n, n + r:2 * n]
-    u = jammer.u_j
-    q = np.block([[u.real, -u.imag], [u.imag, u.real]])  # U_j in real coordinates
-    u_c, solvers = [], []
+    u_c = jammer.u_j[:, jammer.rank:]
+    # real_coords(y) @ q = [Re; Im] of U_c^H y: the clean subspace in y's real coordinates
+    q = real_coords(np.hstack([u_c, 1j * u_c]).T).T
+    basis, solvers = [], []
     for char in ctx.char:
-        s_r = q.T @ char.real_cov @ q
-        lc, uc = np.linalg.eigh(s_r[np.ix_(clean, clean)])
-        u_c.append(uc)
-        solvers.append(SigmaPolySolver(np.linalg.eigvalsh(s_r), np.maximum(lc, 0.0)))
-    return JammerWorkspace(clean=clean, u_c=tuple(u_c), solvers=tuple(solvers))
+        lc, uc = np.linalg.eigh(q.T @ char.real_cov @ q)
+        basis.append(q @ uc)
+        # a rotation keeps the spectrum, so that of real_cov is the full one
+        solvers.append(SigmaPolySolver(np.linalg.eigvalsh(char.real_cov), np.maximum(lc, 0.0)))
+    return JammerWorkspace(basis=tuple(basis), solvers=tuple(solvers))
 
 
 def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
               ws: JammerWorkspace | None = None):
     """Moment-matched subspace GLRT.
 
-    Per hypothesis: rotate the centered measurement into the jammer SVD
-    basis, keep its 2(N-r) clean real coordinates, estimate the residual
-    floor by ML there, and form the concentrated log-likelihood difference.
-    That of the augmented [s; conj(s)] is the same: its eigenvalues and
-    energies are twice these, which shifts each maximum by -2N log 2.
+    Per hypothesis: take the 2(N-r) clean coordinates real_coords(y - m) @
+    basis, estimate the residual floor by ML there, and form the concentrated
+    log-likelihood difference.  The augmented [c; conj(c)], c = U_c^H (y - m),
+    gives the same: its eigenvalues and energies are twice these, which
+    shifts each maximum by -2N log 2.
     """
     if ws is None:
         ws = build_workspace(ctx, jammer)
     loglik = []
-    for char, uc, solver in zip(ctx.char, ws.u_c, ws.solvers):
-        s = real_coords((y_s - char.mean[None, :]) @ jammer.u_j.conj())
-        v2 = (s[:, ws.clean] @ uc) ** 2
+    for char, basis, solver in zip(ctx.char, ws.basis, ws.solvers):
+        v2 = (real_coords(y_s - char.mean[None, :]) @ basis) ** 2
         loglik.append(solver.loglik(v2, solver.solve_batch(v2)))
     return 0.5 * (loglik[1] - loglik[0])
 

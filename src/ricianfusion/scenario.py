@@ -139,15 +139,14 @@ def _floats(value, shape=None) -> np.ndarray:
 
 def _check_links(bearing, beta, kappa, positions) -> None:
     """Both scenario classes' checks: nonempty 1-d bearings, finite values, beta > 0,
-    kappa >= 0, and one finite (x, y) row per link unless ``positions`` is None."""
+    kappa >= 0, and one finite (x, y) row per link."""
     if bearing.ndim != 1 or bearing.size == 0:
         raise ValueError(f"need a nonempty 1-d array of bearings, got shape {bearing.shape}")
     if not np.all(np.isfinite([bearing, beta, kappa])):
         raise ValueError("bearings, gains and Rician factors must be finite")
     if np.any(beta <= 0) or np.any(kappa < 0):
         raise ValueError("gains beta must be positive and Rician factors kappa nonnegative")
-    if positions is not None and not (positions.shape == (bearing.size, 2)
-                                      and np.all(np.isfinite(positions))):
+    if not (positions.shape == (bearing.size, 2) and np.all(np.isfinite(positions))):
         raise ValueError(f"positions must be {bearing.size} finite (x, y) rows")
 
 
@@ -227,18 +226,18 @@ class WsnScenario:
 class JammerScenario:
     """A rank-r subspace interferer as seen by the receive array.
 
-    Each component reaches the array over a sensor's Rician link: ``a_j``
-    holds the LOS columns and ``nu`` the scattered powers, which add sum(nu)
-    to the noise variance since symbols have unit modulus.  The SVD basis
-    and the projector onto the interference-free subspace are precomputed
-    because every interference-aware rule needs them.
+    Component l is the Rician link (beta[l], kappa[l], phi[l]) from
+    positions[l], built like a sensor's: ``a_j`` holds the LOS columns and
+    ``nu`` the scattered powers, which add sum(nu) to the noise variance
+    (symbols have unit modulus).  The SVD basis and the projector onto the
+    interference-free subspace are precomputed for the jammer-aware rules.
     """
 
     phi: np.ndarray
     beta: np.ndarray
     kappa: np.ndarray
     n_antennas: int
-    positions: np.ndarray | None = None
+    positions: np.ndarray
     # derived
     b: np.ndarray = field(init=False, repr=False)
     nu: np.ndarray = field(init=False, repr=False)
@@ -249,11 +248,8 @@ class JammerScenario:
     def __post_init__(self):
         set_ = object.__setattr__
         for name in ("phi", "beta", "kappa"):
-            set_(self, name, _floats(getattr(self, name)))
-        if self.positions is not None:
-            set_(self, "positions", _floats(self.positions))
-        if self.beta.shape != self.phi.shape or self.kappa.shape != self.phi.shape:
-            raise ValueError("phi, beta, kappa must be 1-d arrays of equal length")
+            set_(self, name, _floats(getattr(self, name), np.shape(self.phi)))
+        set_(self, "positions", _floats(self.positions))
         _check_links(self.phi, self.beta, self.kappa, self.positions)
         r, n = self.phi.size, self.n_antennas
         if not (1 <= r < n):
@@ -314,11 +310,7 @@ def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
     except KeyError:
         raise ValueError(
             f"unknown jammer preset {preset!r}; choose from {sorted(JAMMER_PRESETS)}") from None
-    r = config.jammer_rank
-    if r >= config.n_antennas:
-        raise ValueError(
-            f"jammer rank {r} must be smaller than the antenna count {config.n_antennas}")
-    pos, beta, kappa, phi = _draw_links(rng, r, JAMMER_SHADOW_DB, interval)
+    pos, beta, kappa, phi = _draw_links(rng, config.jammer_rank, JAMMER_SHADOW_DB, interval)
     return JammerScenario(phi=phi, beta=beta, kappa=kappa,
                           n_antennas=config.n_antennas, positions=pos)
 
@@ -339,9 +331,8 @@ def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
                 **{name: getattr(wsn, name).tolist() for name in _WSN_ARRAYS}},
     }
     if jammer is not None:
-        doc["jammer"] = {name: getattr(jammer, name).tolist() for name in ("phi", "beta", "kappa")}
-        doc["jammer"]["positions"] = (None if jammer.positions is None
-                                      else jammer.positions.tolist())
+        doc["jammer"] = {name: getattr(jammer, name).tolist()
+                         for name in ("phi", "beta", "kappa", "positions")}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -373,7 +364,7 @@ def load_scenario(path):
             raise ValueError(f"jammer symbol policy {j['signal_policy']!r} is not "
                              "supported (only uniform-phase)")
         return wsn, JammerScenario(phi=j["phi"], beta=j["beta"], kappa=j["kappa"],
-                                   n_antennas=wsn.n_antennas, positions=j.get("positions"))
+                                   n_antennas=wsn.n_antennas, positions=j["positions"])
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"scenario file {path}: missing or malformed entry "
                          f"({type(exc).__name__}: {exc})") from None

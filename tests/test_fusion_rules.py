@@ -350,6 +350,47 @@ def test_every_kernel_is_finite_or_raises_a_named_error(k, n_r, noise_dbm, rates
             assert vals.shape == (64,) and np.all(np.isfinite(vals)), (name, h)
 
 
+# the edges of the noise-power domain the CLI accepts (cli.DBM_LIMIT): every
+# statistic stays finite there, without a warning, for every kind of sensor
+# (wl0/wl1 have no direction without LOS, a named error at any noise power)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(preset=st.sampled_from(sorted(rf.PRESETS)), k=st.sampled_from([1, 3, 10]),
+       n=st.sampled_from([3, 6]), noise_dbm=st.sampled_from([-1000.0, 1000.0]),
+       rates=st.sampled_from([(0.5, 0.05), (1.0, 0.0), (1.0, 0.05)]),
+       kappa=st.sampled_from([None, 0.0, 1e8]), seed=st.integers(0, 1000))
+def test_every_rule_is_finite_at_the_edges_of_the_noise_power_domain(preset, k, n, noise_dbm,
+                                                                     rates, kappa, seed):
+    wsn, jam = make_deployment(preset, k=k, n=n, seed=seed, jammer="los-jam",
+                               pd=rates[0], pf=rates[1])
+    wsn = wsn.with_(noise_power=float(rf.db_to_lin(noise_dbm)))
+    if kappa is not None:
+        wsn = wsn.with_(kappa=kappa)
+    ctx = rf.make_context(wsn)
+    ws = rf.build_workspace(ctx, jam)
+    for h in (rf.H0, rf.H1):
+        rng = np.random.default_rng(seed)
+        x = rf.draw_decisions(wsn, h, rng, 64)
+        clean = rf.draw_received(wsn, x, rng)
+        y, psi = rf.draw_jammed(wsn, jam, x, rng)
+        for name, rule in rf.RULES.items():
+            for batch in ((y,) if rule.jammer_aware else (clean, y)):
+                try:
+                    vals = rule.kernel(batch, ctx, jam, ws, psi)
+                except rf.DegenerateWeightsError:
+                    assert kappa == 0.0, name
+                    continue
+                assert vals.shape == (64,) and np.all(np.isfinite(vals)), (name, h)
+
+
+def test_widely_linear_weights_that_underflow_are_a_numerical_error(small_wsn):
+    # at 2000 dBm the weights shrink like 1/sigma^2 until their norm
+    # underflows: a numerical failure, not a degenerate direction
+    ctx = rf.make_context(small_wsn.with_(noise_power=float(rf.db_to_lin(2000.0))))
+    for h in (rf.H0, rf.H1):
+        with pytest.raises(np.linalg.LinAlgError, match="weight norm is 0"):
+            rf.wl_weights(ctx, h)
+
+
 def test_wl_weights_solve_at_a_badly_conditioned_corner():
     # K = 1, N = 2, -83 dBm, kappa = 80 dB: the H1 covariance has condition
     # number ~6e7, and both weight vectors must match the augmented reference

@@ -201,6 +201,15 @@ def test_floor_solver_brackets_energies_near_the_float_limit():
     np.testing.assert_allclose(s, [1e300], rtol=1e-9)
 
 
+def test_igmm_glrt_near_the_float_limit_runs_without_a_warning():
+    # 3000 dBm, far outside the CLI's domain: the floor solver splits its
+    # bracket so that no sum overflows; no errstate, so a warning fails the test
+    wsn, jam = make_deployment(k=3, n=4, seed=0, jammer="los-jam")
+    eng = rf.Engine(wsn.with_(noise_power=float(rf.db_to_lin(3000.0))), jammer=jam, seed=0)
+    for h in (rf.H0, rf.H1):
+        assert np.all(np.isfinite(eng.stats("igmm-glrt", h, 1000, 0)))
+
+
 # ------------------------------------------------------------------ piecewise
 
 def test_piecewise_reference_branches_and_continuity():
@@ -231,26 +240,27 @@ def test_workspace_invariants(jammed_pair):
     ctx = rf.make_context(wsn)
     ws = rf.build_workspace(ctx, jam)
     n, r = wsn.n_antennas, jam.rank
-    # halves of the real coordinates: [0..n) real parts, [n..2n) imaginary
-    # parts; the first r coordinates of each half carry the jammer
-    np.testing.assert_array_equal(ws.clean, [*range(r, n), *range(n + r, 2 * n)])
-    # rotated as igmm_glrt rotates a measurement, the jammer's mixing columns
-    # leave nothing in the clean coordinates
-    rotated = rf.real_coords(jam.a_j.T @ jam.u_j.conj())
-    np.testing.assert_allclose(rotated[:, ws.clean], 0.0, atol=1e-12 * np.abs(rotated).max())
-    for i, char in enumerate(ctx.char):
-        solver = ws.solvers[i]
-        # the basis change preserves the spectrum of the real covariance,
-        # which is half that of the augmented one
-        np.testing.assert_allclose(solver.lambda_a, np.linalg.eigvalsh(char.real_cov),
-                                   atol=1e-8)
+    # real coordinates of the jammer's mixing columns and of i times them:
+    # every real direction a jammer symbol can take
+    mixing = rf.real_coords(np.hstack([jam.a_j, 1j * jam.a_j]).T)
+    p = jam.p_perp                 # the same projector, acting on real coordinates
+    p_real = np.block([[p.real, -p.imag], [p.imag, p.real]])
+    for char, basis, solver in zip(ctx.char, ws.basis, ws.solvers):
+        # a real orthonormal basis of the 2(N-r) clean real coordinates
+        assert np.isrealobj(basis) and basis.shape == (2 * n, 2 * (n - r))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2 * (n - r)), atol=1e-10)
+        np.testing.assert_allclose(mixing @ basis, 0.0, atol=1e-12 * np.abs(mixing).max())
+        # a rotation keeps the spectrum of the real covariance, which is half
+        # that of the augmented one
+        cov = char.real_cov
+        np.testing.assert_allclose(solver.lambda_a, np.linalg.eigvalsh(cov), atol=1e-8)
         np.testing.assert_allclose(2.0 * solver.lambda_a,
                                    np.linalg.eigvalsh(aug_cov(char)), atol=1e-8)
-        assert solver.lambda_c.shape == (2 * (n - r),)
-        assert solver.lambda_c.min() >= 0.0
-        uc = ws.u_c[i]        # real orthonormal eigenbasis of the clean block
-        assert np.isrealobj(uc)
-        np.testing.assert_allclose(uc.T @ uc, np.eye(2 * (n - r)), atol=1e-10)
+        # lambda_c is the clean spectrum, and the basis diagonalises it
+        scale = 1e-10 * np.abs(cov).max()
+        np.testing.assert_allclose(solver.lambda_c,
+                                   np.linalg.eigvalsh(p_real @ cov @ p_real)[2 * r:], atol=scale)
+        np.testing.assert_allclose(basis.T @ cov @ basis, np.diag(solver.lambda_c), atol=scale)
     mismatched = rf.make_context(wsn.with_(n_antennas=n + 1))
     with pytest.raises(ValueError):
         rf.build_workspace(mismatched, jam)
@@ -399,7 +409,7 @@ def test_nlos_glrt_broadside_jammer_closed_form():
     # energy minus the energy of the coherent sum
     n = 6
     jam = rf.JammerScenario(phi=np.array([np.pi / 2]), beta=np.array([3.0]),
-                            kappa=np.array([9.0]), n_antennas=n)
+                            kappa=np.array([9.0]), n_antennas=n, positions=[[0.0, 300.0]])
     y = rf.crandn(np.random.default_rng(60), (40, n), var=2.0)
     want = np.sum(np.abs(y) ** 2, axis=1) - np.abs(y.sum(axis=1)) ** 2 / n
     np.testing.assert_allclose(rf.nlos_glrt(y, jam), want, rtol=1e-10, atol=1e-12)

@@ -97,6 +97,21 @@ def test_engine_rejects_unknown_and_jammerless_rules(small_wsn):
         eng.stats("nlos-glrt", rf.H0, 100, 0)
 
 
+@pytest.mark.parametrize("noise_dbm,rule,n,jammer", [(-3230.0, "is", 2, None),
+                                                     (3080.0, "nlos", 2, None),
+                                                     (3080.0, "llr", 2, None),
+                                                     (3080.0, "igmm-glrt", 4, "los-jam")])
+def test_engine_eval_rejects_a_statistic_that_is_not_finite(noise_dbm, rule, n, jammer):
+    # noise powers far outside the CLI's domain, whose linear value is finite
+    # but at the edge of the float range: the kernels overflow, so their
+    # overflow warnings are expected here
+    wsn, jam = make_deployment(k=3, n=n, seed=0, jammer=jammer)
+    eng = rf.Engine(wsn.with_(noise_power=float(rf.db_to_lin(noise_dbm))), jammer=jam, seed=0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match=f"rule '{rule}'|must be finite"):
+            eng.stats(rule, rf.H0, 1000, 0)
+
+
 def test_engine_rejects_nonpositive_thread_counts(small_wsn):
     with pytest.raises(ValueError):
         rf.Engine(small_wsn, threads=0)

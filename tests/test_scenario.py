@@ -78,7 +78,7 @@ def test_sensors_and_jammer_components_share_one_link_law(beta, kappa_db, bearin
     kappa = float(rf.db_to_lin(kappa_db))
     wsn = _one_sensor(beta=beta, kappa=kappa, theta=bearing, n=n)
     jam = rf.JammerScenario(phi=np.array([bearing]), beta=np.array([beta]),
-                            kappa=np.array([kappa]), n_antennas=n)
+                            kappa=np.array([kappa]), n_antennas=n, positions=wsn.positions)
     assert jam.b[0] == wsn.b[0] and jam.nu[0] == wsn.nu[0]
     np.testing.assert_array_equal(jam.a_j, wsn.a_tilde)
     assert beta * wsn.b[0] ** 2 + wsn.nu[0] == pytest.approx(beta, rel=1e-14)
@@ -207,8 +207,16 @@ def test_link_arrays_that_do_not_fit_are_rejected(change, named):
 
 
 def test_jammer_arrays_must_have_equal_lengths():
-    with pytest.raises(ValueError, match="equal length"):
-        rf.JammerScenario(phi=[0.3, 1.0], beta=[1.0], kappa=[1.0, 1.0], n_antennas=4)
+    # as a sensor's: gains and Rician factors broadcast against the bearings
+    pos = [[300.0, 0.0], [0.0, 400.0]]
+    jam = rf.JammerScenario(phi=[0.3, 1.0], beta=[1.0], kappa=2.0, n_antennas=4,
+                            positions=pos)
+    np.testing.assert_array_equal(jam.beta, [1.0, 1.0])
+    np.testing.assert_array_equal(jam.kappa, [2.0, 2.0])
+    with pytest.raises(ValueError, match="broadcast"):
+        jam.with_(beta=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="positions"):
+        jam.with_(positions=[[300.0, 0.0]])
 
 
 def test_with_rebuilds_derived_arrays_but_keeps_sensors():
@@ -242,7 +250,7 @@ def test_single_broadside_jammer_projector_closed_form():
     # vector, so the projector has the explicit form I - ones/N
     n = 5
     jam = rf.JammerScenario(phi=np.array([np.pi / 2]), beta=np.array([2.0]),
-                            kappa=np.array([4.0]), n_antennas=n)
+                            kappa=np.array([4.0]), n_antennas=n, positions=[[0.0, 300.0]])
     np.testing.assert_allclose(jam.a_j[:, 0], jam.a_j[0, 0] * np.ones(n),
                                atol=1e-12)
     want = np.eye(n) - np.ones((n, n)) / n
@@ -255,7 +263,7 @@ def test_jammer_rank_must_be_below_antenna_count():
         rf.generate_jammer(config, np.random.default_rng(0), preset="los-jam")
     with pytest.raises(ValueError):
         rf.JammerScenario(phi=np.array([0.3]), beta=np.array([1.0]),
-                          kappa=np.array([1.0]), n_antennas=1)
+                          kappa=np.array([1.0]), n_antennas=1, positions=[[300.0, 0.0]])
 
 
 def test_jammer_los_term_and_scattered_power(jammed_pair):
@@ -365,7 +373,11 @@ def _one_sensor_doc(n_antennas):
                                        ([1, 2], "TypeError"), ("{", "Expecting"),
                                        # int() would load these as 2 and 1
                                        (_one_sensor_doc(2.7), "n_antennas"),
-                                       (_one_sensor_doc(True), "n_antennas")])
+                                       (_one_sensor_doc(True), "n_antennas"),
+                                       # a jammer's positions are required, as a sensor's
+                                       ({**_one_sensor_doc(3), "jammer": {
+                                           "phi": [0.3], "beta": [1.0], "kappa": [1.0]}},
+                                        "'positions'")])
 def test_malformed_scenario_file_exits_2_before_touching_the_output(tmp_path, capsys,
                                                                     doc, named):
     path = tmp_path / "bad.json"
