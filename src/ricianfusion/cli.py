@@ -231,13 +231,15 @@ def _write_plot_data(rows, outdir) -> None:
 
 
 def cmd_run(args) -> int:
-    grid, n_list = parse_grid(args.sigma_grid), _parse_list(args.n, int, "--n")
+    grid = parse_grid(args.sigma_grid)
+    n_list = None if args.n is None else _parse_list(args.n, int, "--n")
     if args.scenario:
         if any(getattr(args, name) is not None
                for name in ("preset", "jammer", *SENSOR_DEFAULTS)):
             raise UsageError("--preset, --jammer, --k, --pd and --pf do not combine with "
                              "--scenario: the scenario file fixes the deployment")
         wsn, jammer = load_scenario(args.scenario)
+        n_list = n_list or (wsn.n_antennas,)
         rules = _parse_rules(args.rules, wsn.k_sensors, jammer is not None,
                              bool(np.all(wsn.pd == wsn.pf)),
                              f"a jammer in the scenario file {args.scenario}")
@@ -252,6 +254,7 @@ def cmd_run(args) -> int:
                 setattr(args, name, value)
         presets = _parse_list(args.preset if args.preset is not None else "intermediate",
                               str, "--preset")
+        n_list = n_list or (6,)
         rules, deployments = _draw_presets(args, presets, n_list, (args.pf0,),
                                            args.plot_data)
     rows = montecarlo.sweep(deployments, grid, n_list, rules, args.trials,
@@ -358,7 +361,7 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
         d_ig = float(np.max(np.abs(jamming_rules.igmm_glrt(batch.y, ctx, jam) - ref_ig)))
         results.append(("piecewise-igmm-glrt", d_ig <= 1e-9, f"max_abs_diff={d_ig:.2e}"))
 
-        p = jam.p_perp
+        p = jam.u_c @ jam.u_c.conj().T
         d_proj = max(float(np.abs(p - p.conj().T).max()),
                      float(np.abs(p @ p - p).max()),
                      float(np.abs(p @ jam.a_j).max()))
@@ -439,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--jammer", choices=JAMMER_CHOICES, default=None)
     r.add_argument("--rules", default="is,nlos,igmm", help=RULES_HELP)
     r.add_argument("--sigma-grid", default="0", help="noise power dBm, start:step:stop")
-    r.add_argument("--n", default="6", help="comma list of antenna counts")
+    r.add_argument("--n", default=None,
+                   help="comma list of antenna counts (default 6, or the "
+                        "scenario file's n_antennas with --scenario)")
     r.add_argument("--pf0", type=float, default=0.01)
     r.add_argument("--trials", type=int, default=20000)
     r.add_argument("--out", required=True)

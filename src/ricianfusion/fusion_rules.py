@@ -145,9 +145,9 @@ def nlos_rule(y):
 def wl_weights(ctx: RuleContext, h: int) -> np.ndarray:
     """Deflection-optimal widely-linear weights for hypothesis-h normalization.
 
-    w = R(h)^{-1} [Re m; Im m] with m = A_tilde (rho1 - rho0) and R(h) the
-    real-coordinate covariance, scaled to norm sqrt(2) so that w^T yr reads
-    as the unit-norm augmented weights T w / 2 (T = [[I, iI], [I, -iI]]).
+    w = R(h)^{-1} [Re m; Im m] with m = A_tilde (rho1 - rho0) and R(h) =
+    ``char[h].real_cov``, scaled to norm sqrt(2) so that w^T yr reads as the
+    unit-norm augmented weights T w / 2 (T = [[I, iI], [I, -iI]]).
     The direction is undefined (``DegenerateWeightsError``) when the two
     hypotheses have identical transmit-probability vectors or m is exactly
     zero; a norm of w that underflows to 0 or is not finite is a numerical

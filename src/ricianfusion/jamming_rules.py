@@ -49,8 +49,8 @@ def is_glrt(y_s, ctx: RuleContext, jammer: JammerScenario):
 
 
 def nlos_glrt(y_s, jammer: JammerScenario):
-    """Energy in the interference-free subspace: ||P_perp y_s||^2."""
-    return np.sum(np.abs(y_s @ jammer.p_perp.T) ** 2, axis=1)
+    """Energy in the interference-free subspace: ||U_c^H y_s||^2 = ||P_perp y_s||^2."""
+    return np.sum(np.abs(y_s @ jammer.u_c.conj()) ** 2, axis=1)
 
 
 def nlos_piecewise_reference(r0_norm2, sigma_a2: float, sigma_b2: float, n: int):
@@ -195,9 +195,8 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
     """Precompute the subspace-GLRT workspace for both hypotheses."""
     if jammer.n_antennas != ctx.scenario.n_antennas:
         raise ValueError("jammer and scenario disagree on the antenna count")
-    u_c = jammer.u_j[:, jammer.rank:]
     # real_coords(y) @ q = [Re; Im] of U_c^H y: the clean subspace in y's real coordinates
-    q = real_coords(np.hstack([u_c, 1j * u_c]).T).T
+    q = real_coords(np.hstack([jammer.u_c, 1j * jammer.u_c]).T).T
     basis, solvers = [], []
     for char in ctx.char:
         lc, uc = np.linalg.eigh(q.T @ char.real_cov @ q)

@@ -129,19 +129,24 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _floats(value, shape=None) -> np.ndarray:
-    """Read-only float copy of ``value`` (broadcast to ``shape``); no strings or None."""
-    a = np.asarray(value)
-    if a.dtype.kind not in "biuf":
-        raise ValueError(f"expected real numbers, got {a.dtype} entries")
-    return _lock(np.full(a.shape if shape is None else shape, a, dtype=float))
+def _floats(name: str, value, like=None) -> np.ndarray:
+    """Read-only float copy of field ``name`` (broadcast to the shape of ``like``);
+    no strings or None.  Every ValueError, numpy's included, names the field."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"expected real numbers, got {a.dtype} entries")
+        return _lock(np.full(np.shape(a if like is None else like), a, dtype=float))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _check_links(bearing, beta, kappa, positions) -> None:
-    """Both scenario classes' checks: nonempty 1-d bearings, finite values, beta > 0,
-    kappa >= 0, and one finite (x, y) row per link."""
+def _check_links(name, bearing, beta, kappa, positions) -> None:
+    """Both scenario classes' checks: nonempty 1-d bearings (field ``name``), finite
+    values, beta > 0, kappa >= 0, and one finite (x, y) row per link."""
     if bearing.ndim != 1 or bearing.size == 0:
-        raise ValueError(f"need a nonempty 1-d array of bearings, got shape {bearing.shape}")
+        raise ValueError(f"{name}: need a nonempty 1-d array of bearings, "
+                         f"got shape {bearing.shape}")
     if not np.all(np.isfinite([bearing, beta, kappa])):
         raise ValueError("bearings, gains and Rician factors must be finite")
     if np.any(beta <= 0) or np.any(kappa < 0):
@@ -190,10 +195,10 @@ class WsnScenario:
         if not (np.isfinite(self.noise_power) and self.noise_power > 0):
             raise ValueError(f"noise_power must be finite and positive, got {self.noise_power}")
         set_ = object.__setattr__
-        for name in ("theta", "beta", "kappa", "pd", "pf"):
-            set_(self, name, _floats(getattr(self, name), np.shape(self.theta)))
-        set_(self, "positions", _floats(self.positions))
-        _check_links(self.theta, self.beta, self.kappa, self.positions)
+        for name in ("theta", "beta", "kappa", "pd", "pf"):  # theta first: the others fit it
+            set_(self, name, _floats(name, getattr(self, name), self.theta))
+        set_(self, "positions", _floats("positions", self.positions))
+        _check_links("theta", self.theta, self.beta, self.kappa, self.positions)
         if not np.all((0.0 <= self.pf) & (self.pf <= self.pd) & (self.pd <= 1.0)):
             raise ValueError(f"need 0 <= pf <= pd <= 1, got pf={self.pf} pd={self.pd}")
         links = _rician_links(self.theta, self.beta, self.kappa, self.n_antennas)
@@ -229,8 +234,9 @@ class JammerScenario:
     Component l is the Rician link (beta[l], kappa[l], phi[l]) from
     positions[l], built like a sensor's: ``a_j`` holds the LOS columns and
     ``nu`` the scattered powers, which add sum(nu) to the noise variance
-    (symbols have unit modulus).  The SVD basis and the projector onto the
-    interference-free subspace are precomputed for the jammer-aware rules.
+    (symbols have unit modulus).  ``u_c`` (N x (N - r), orthonormal columns:
+    the left singular vectors of ``a_j`` past the r-th) spans the
+    interference-free subspace for the jammer-aware rules.
     """
 
     phi: np.ndarray
@@ -242,15 +248,14 @@ class JammerScenario:
     b: np.ndarray = field(init=False, repr=False)
     nu: np.ndarray = field(init=False, repr=False)
     a_j: np.ndarray = field(init=False, repr=False)
-    u_j: np.ndarray = field(init=False, repr=False)
-    p_perp: np.ndarray = field(init=False, repr=False)
+    u_c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         set_ = object.__setattr__
         for name in ("phi", "beta", "kappa"):
-            set_(self, name, _floats(getattr(self, name), np.shape(self.phi)))
-        set_(self, "positions", _floats(self.positions))
-        _check_links(self.phi, self.beta, self.kappa, self.positions)
+            set_(self, name, _floats(name, getattr(self, name), self.phi))
+        set_(self, "positions", _floats("positions", self.positions))
+        _check_links("phi", self.phi, self.beta, self.kappa, self.positions)
         r, n = self.phi.size, self.n_antennas
         if not (1 <= r < n):
             raise ValueError(f"jammer rank must satisfy 1 <= r < N, got r={r}, N={n}")
@@ -260,8 +265,7 @@ class JammerScenario:
         u, s, _ = np.linalg.svd(self.a_j, full_matrices=True)
         if s[-1] <= _RANK_RTOL * s[0]:
             raise ValueError("jammer mixing matrix is (numerically) rank deficient")
-        set_(self, "u_j", _lock(u))
-        set_(self, "p_perp", _lock(u[:, r:] @ u[:, r:].conj().T))
+        set_(self, "u_c", _lock(u[:, r:]))
 
     @property
     def rank(self) -> int:

@@ -10,8 +10,8 @@ unit-modulus symbols psi adds its LOS term ``JammerScenario.los(psi)`` plus
 sum_l sqrt(nu_l) g_l psi_l, g_l ~ CN(0, I_N): the same Rician link as a
 sensor's.  Complex-normal convention throughout: CN(0, s) has real and
 imaginary parts N(0, s/2).  y is improper (its pseudo-covariance is nonzero
-under LOS), so its second-order statistics are also kept in real
-coordinates [Re y; Im y], whose real symmetric covariance carries both.
+under LOS), so its second-order statistics are kept in the real coordinates
+[Re y; Im y], whose real symmetric covariance carries both.
 
 All drawing functions take and return batches with a leading trial axis.
 """
@@ -109,34 +109,24 @@ def real_coords(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SecondOrderChar:
-    """Conditional mean/covariance of y under one hypothesis.
-
-    ``cov`` is the (proper) covariance, ``pcov`` the pseudo-covariance
-    E{(y-m)(y-m)^T}, and ``real_cov`` the 2N x 2N real symmetric covariance
-    of ``real_coords(y)`` -- the received vector is improper whenever pcov is
-    nonzero, which is the generic LOS case, and real_cov carries both.
-    """
+    """Mean of y and covariance of ``real_coords(y)`` under one hypothesis;
+    ``real_cov`` (2N x 2N, real symmetric) carries both the covariance and
+    the pseudo-covariance of the improper y."""
 
     mean: np.ndarray
-    cov: np.ndarray
-    pcov: np.ndarray
     real_cov: np.ndarray
 
 
 def second_order_char(scenario: WsnScenario, h: int) -> SecondOrderChar:
     """Closed-form conditional second-order statistics of y under ``h``.
 
-    Decisions are conditionally independent, so the decision covariance is
-    diag(rho_k (1 - rho_k)).
+    Decisions are independent, Sigma_x = diag(rho (1 - rho)), so A_tilde x
+    adds G Sigma_x G^T with G = A_tilde in real coordinates.  Scatter plus
+    noise is proper, of power sigma_e^2 = nu . rho + noise per antenna:
+    sigma_e^2 / 2 per real coordinate.
     """
     rho = scenario.rho(h)
-    sigma_x = np.diag(rho * (1.0 - rho))
-    at = scenario.a_tilde
     sigma_e2 = float(scenario.nu @ rho + scenario.noise_power)
-    mean = at @ rho
-    n = scenario.n_antennas
-    cov = at @ sigma_x @ at.conj().T + sigma_e2 * np.eye(n)
-    pcov = at @ sigma_x @ at.T
-    real = 0.5 * np.block([[(cov + pcov).real, (pcov - cov).imag],
-                           [(cov + pcov).imag, (cov - pcov).real]])
-    return SecondOrderChar(mean=mean, cov=cov, pcov=pcov, real_cov=real)
+    g = real_coords(scenario.a_tilde.T).T  # (2N, K)
+    real_cov = (g * (rho * (1.0 - rho))) @ g.T + 0.5 * sigma_e2 * np.eye(g.shape[0])
+    return SecondOrderChar(mean=scenario.a_tilde @ rho, real_cov=real_cov)

@@ -1,5 +1,7 @@
 """Shared fixtures: small fixed-seed deployments for fast unit tests."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -54,9 +56,27 @@ def augment(a):
     return np.concatenate([a, a.conj()], axis=-1)
 
 
-def aug_cov(char):
-    """Covariance of the augmented vector [y; conj(y)], built from cov and pcov."""
-    return np.block([[char.cov, char.pcov], [char.pcov.conj(), char.cov.conj()]])
+class ComplexChar(NamedTuple):
+    mean: np.ndarray
+    cov: np.ndarray
+    pcov: np.ndarray
+
+
+def complex_char(scenario, h):
+    """Mean, covariance and pseudo-covariance E{(y-m)(y-m)^T} of y under ``h``
+    in complex form: the oracle for ``second_order_char``'s real coordinates."""
+    rho = scenario.rho(h)
+    sigma_x = np.diag(rho * (1.0 - rho))
+    at = scenario.a_tilde
+    sigma_e2 = float(scenario.nu @ rho + scenario.noise_power)
+    cov = at @ sigma_x @ at.conj().T + sigma_e2 * np.eye(scenario.n_antennas)
+    return ComplexChar(mean=at @ rho, cov=cov, pcov=at @ sigma_x @ at.T)
+
+
+def aug_cov(scenario, h):
+    """Covariance of the augmented vector [y; conj(y)] under ``h``, from ``complex_char``."""
+    c = complex_char(scenario, h)
+    return np.block([[c.cov, c.pcov], [c.pcov.conj(), c.cov.conj()]])
 
 
 def real_to_aug(n):
@@ -66,7 +86,8 @@ def real_to_aug(n):
 
 
 def moment_zscores(char, y):
-    """Per-entry z-scores of empirical mean/cov/pcov of y against ``char``.
+    """Per-entry z-scores of empirical mean/cov/pcov of y against ``char``
+    (a ``complex_char``).
 
     Every real/imaginary entry of the three moment blocks is compared with the
     sampling stderr of its own Monte Carlo average.  Entries whose stderr is

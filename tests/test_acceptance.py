@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import ricianfusion as rf
-from conftest import (force_ideal, force_kappa_zero, make_deployment,
+from conftest import (complex_char, force_ideal, force_kappa_zero, make_deployment,
                       moment_zscores)
 from test_jamming_rules import grid_refine_floor, profile_loglik
 
@@ -86,7 +86,7 @@ def test_criterion_4_closed_form_moments_match_sampling():
     rng = np.random.default_rng(4)
     worst_z, worst_rel, compared = 0.0, 0.0, 0
     for h in (rf.H0, rf.H1):
-        char = rf.second_order_char(wsn, h)
+        char = complex_char(wsn, h)
         x = rf.draw_decisions(wsn, h, rng, size=100_000)
         y = rf.draw_received(wsn, x, rng)
         z, n_cmp = moment_zscores(char, y)

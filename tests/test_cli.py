@@ -427,6 +427,19 @@ def test_run_from_scenario_file_uses_frozen_deployment(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_from_scenario_file_runs_at_its_antenna_count_unless_n_is_given(tmp_path,
+                                                                            capsys):
+    scn = tmp_path / "four.json"
+    assert cli.main(["generate", "--k", "4", "--n", "4", "--out", str(scn)]) == 0
+    for extra, want in (([], {"4"}), (["--n", "3,5"], {"3", "5"})):
+        out = tmp_path / "n.csv"
+        assert cli.main(["run", "--scenario", str(scn), "--rules", "nlos", "--trials",
+                         "1000", "--pf0", "0.1", "--out", str(out), *extra]) == 0
+        with open(out) as fh:
+            assert {r["n_antennas"] for r in csv.DictReader(fh)} == want
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", [["--jammer", "los-jam"], ["--jammer", "none"],
                                   ["--preset", "nlos"], ["--k", "9"], ["--pd", "0.9"],
                                   ["--pf", "0.1"]])

@@ -193,7 +193,7 @@ def random_augmented_direction(rng, n):
 
 def deflection(z, ctx, h):
     delta = augment(ctx.char[1].mean) - augment(ctx.char[0].mean)
-    cov = aug_cov(ctx.char[h])
+    cov = aug_cov(ctx.scenario, h)
     num = abs(np.vdot(z, delta)) ** 2
     den = np.real(np.vdot(z, cov @ z))
     return num / den
@@ -286,12 +286,13 @@ def test_igmm_matches_direct_solve_mahalanobis_difference(small_ctx):
     ys = rf.crandn(rng, (32, small_ctx.scenario.n_antennas), var=2.0)
     got = rf.igmm_rule(ys, small_ctx)
     c0, c1 = small_ctx.char
+    s0, s1 = (aug_cov(small_ctx.scenario, h) for h in (rf.H0, rf.H1))
     for y, g in zip(ys, got):
         ya = augment(y)
         d0 = ya - augment(c0.mean)
         d1 = ya - augment(c1.mean)
-        q0 = np.real(np.vdot(d0, np.linalg.solve(aug_cov(c0), d0)))
-        q1 = np.real(np.vdot(d1, np.linalg.solve(aug_cov(c1), d1)))
+        q0 = np.real(np.vdot(d0, np.linalg.solve(s0, d0)))
+        q1 = np.real(np.vdot(d1, np.linalg.solve(s1, d1)))
         assert g == pytest.approx(q0 - q1, rel=1e-9, abs=1e-9)
 
 
@@ -402,7 +403,7 @@ def test_wl_weights_solve_at_a_badly_conditioned_corner():
     y, _ = rf.draw_jammed(wsn, jam, rf.draw_decisions(wsn, rf.H1, rng, 64), rng)
     for h, name in ((rf.H1, "wl1"), (rf.H0, "wl0")):
         got = rf.evaluate(name, y, ctx)
-        z = np.linalg.solve(aug_cov(ctx.char[h]), gap)
+        z = np.linalg.solve(aug_cov(wsn, h), gap)
         z /= np.linalg.norm(z)
         ref = (augment(y) @ z.conj()).real
         assert np.all(np.isfinite(got))

@@ -243,9 +243,9 @@ def test_workspace_invariants(jammed_pair):
     # real coordinates of the jammer's mixing columns and of i times them:
     # every real direction a jammer symbol can take
     mixing = rf.real_coords(np.hstack([jam.a_j, 1j * jam.a_j]).T)
-    p = jam.p_perp                 # the same projector, acting on real coordinates
+    p = jam.u_c @ jam.u_c.conj().T  # the clean-subspace projector, on real coordinates
     p_real = np.block([[p.real, -p.imag], [p.imag, p.real]])
-    for char, basis, solver in zip(ctx.char, ws.basis, ws.solvers):
+    for h, char, basis, solver in zip((rf.H0, rf.H1), ctx.char, ws.basis, ws.solvers):
         # a real orthonormal basis of the 2(N-r) clean real coordinates
         assert np.isrealobj(basis) and basis.shape == (2 * n, 2 * (n - r))
         np.testing.assert_allclose(basis.T @ basis, np.eye(2 * (n - r)), atol=1e-10)
@@ -255,7 +255,7 @@ def test_workspace_invariants(jammed_pair):
         cov = char.real_cov
         np.testing.assert_allclose(solver.lambda_a, np.linalg.eigvalsh(cov), atol=1e-8)
         np.testing.assert_allclose(2.0 * solver.lambda_a,
-                                   np.linalg.eigvalsh(aug_cov(char)), atol=1e-8)
+                                   np.linalg.eigvalsh(aug_cov(wsn, h)), atol=1e-8)
         # lambda_c is the clean spectrum, and the basis diagonalises it
         scale = 1e-10 * np.abs(cov).max()
         np.testing.assert_allclose(solver.lambda_c,
@@ -390,7 +390,7 @@ def test_is_glrt_clamps_on_received_signals_inside_the_jammer_subspace(jammed_pa
     n = wsn.n_antennas
     s0 = wsn.noise_power
     s1 = s0 + float(wsn.nu.sum())
-    n1 = np.sum(np.abs((y - wsn.a_tilde.sum(axis=1)) @ jam.p_perp.T) ** 2, axis=1)
+    n1 = np.sum(np.abs((y - wsn.a_tilde.sum(axis=1)) @ jam.u_c.conj()) ** 2, axis=1)
     v1 = s1 + np.maximum(n1 / n - s1, 0.0)
     want = n * np.log(s0 / v1) - n1 / v1
     np.testing.assert_allclose(rf.is_glrt(y, ctx, jam), want, rtol=1e-9, atol=1e-9)
@@ -424,9 +424,9 @@ def test_nlos_glrt_decisions_match_direct_energy_thresholding(jammed_pair):
     for h in (rf.H0, rf.H1):
         batch = eng.sample(h, trials, stream=2)
         vals = eng.eval("nlos-glrt", batch)
-        energy = np.sum(np.abs(batch.y @ jam.p_perp.T) ** 2, axis=1)
+        energy = np.sum(np.abs(batch.y @ jam.u_c.conj()) ** 2, axis=1)
         gamma_e = rf.upper_quantile(
-            np.sum(np.abs(eng.sample(rf.H0, trials, 0).y @ jam.p_perp.T) ** 2, axis=1),
+            np.sum(np.abs(eng.sample(rf.H0, trials, 0).y @ jam.u_c.conj()) ** 2, axis=1),
             test.target_pf0)
         np.testing.assert_array_equal(vals > test.gamma, energy > gamma_e)
 
@@ -443,7 +443,8 @@ def test_nlos_glrt_equals_clean_subspace_energy(jammed_pair):
     wsn, jam = jammed_pair
     rng = np.random.default_rng(58)
     y = rf.crandn(rng, (40, wsn.n_antennas), var=2.0)
-    want = np.sum(np.abs(y @ jam.u_j[:, jam.rank:].conj()) ** 2, axis=1)
+    p_perp = jam.u_c @ jam.u_c.conj().T  # the projector onto the clean subspace
+    want = np.sum(np.abs(y @ p_perp.T) ** 2, axis=1)
     np.testing.assert_allclose(rf.nlos_glrt(y, jam), want, rtol=1e-10)
 
 

@@ -84,7 +84,7 @@ def test_sensors_and_jammer_components_share_one_link_law(beta, kappa_db, bearin
     assert beta * wsn.b[0] ** 2 + wsn.nu[0] == pytest.approx(beta, rel=1e-14)
     # the projector removes the LOS interference of unit-modulus symbols
     los = jam.los(np.exp(2j * np.pi * np.array([[phase], [phase + 0.3]])))
-    assert np.abs(los @ jam.p_perp.T).max() <= 1e-12 * np.abs(los).max()
+    assert np.abs(los @ jam.u_c.conj()).max() <= 1e-12 * np.abs(los).max()
 
 
 def test_sensor_params_validation():
@@ -198,12 +198,14 @@ def test_link_arrays_broadcast_and_are_kept_as_read_only_copies():
     ({"positions": [[0.0, 0.0], [1.0, 1.0], [math.nan, 0.0]]}, "positions"),
     ({"pd": ["0.5", "0.5", "0.5"]}, "real numbers"),   # strings are not converted
     ({"theta": None}, "real numbers"),
+    ({"positions": [[0.0, 0.0], [1.0], [2.0, 2.0]]}, "inhomogeneous"),
 ])
 def test_link_arrays_that_do_not_fit_are_rejected(change, named):
     wsn = rf.WsnScenario(theta=[0.3, 1.2, 2.0], beta=[1.0, 2.0, 3.0], kappa=1.0, pd=0.5,
                          pf=0.05, positions=np.ones((3, 2)), n_antennas=3, noise_power=1.0)
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(ValueError, match=named) as err:
         wsn.with_(**change)
+    assert str(err.value).startswith(next(iter(change)))  # the message names the field
 
 
 def test_jammer_arrays_must_have_equal_lengths():
@@ -213,7 +215,7 @@ def test_jammer_arrays_must_have_equal_lengths():
                             positions=pos)
     np.testing.assert_array_equal(jam.beta, [1.0, 1.0])
     np.testing.assert_array_equal(jam.kappa, [2.0, 2.0])
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(ValueError, match="^beta: .*broadcast"):
         jam.with_(beta=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="positions"):
         jam.with_(positions=[[300.0, 0.0]])
@@ -238,7 +240,12 @@ def test_derived_arrays_are_read_only():
 
 def test_jammer_projector_annihilates_the_interference_subspace(jammed_pair):
     _, jam = jammed_pair
-    p = jam.p_perp
+    n, r = jam.n_antennas, jam.rank
+    u_c = jam.u_c
+    assert u_c.shape == (n, n - r) and not u_c.flags.writeable
+    np.testing.assert_allclose(u_c.conj().T @ u_c, np.eye(n - r), atol=1e-12)  # orthonormal
+    np.testing.assert_allclose(u_c.conj().T @ jam.a_j, 0, atol=1e-10)       # U_c^H A_J = 0
+    p = u_c @ u_c.conj().T
     np.testing.assert_allclose(p, p.conj().T, atol=1e-12)          # Hermitian
     np.testing.assert_allclose(p @ p, p, atol=1e-12)               # idempotent
     np.testing.assert_allclose(p @ jam.a_j, 0, atol=1e-10)         # kills range(A_J)
@@ -254,7 +261,8 @@ def test_single_broadside_jammer_projector_closed_form():
     np.testing.assert_allclose(jam.a_j[:, 0], jam.a_j[0, 0] * np.ones(n),
                                atol=1e-12)
     want = np.eye(n) - np.ones((n, n)) / n
-    np.testing.assert_allclose(jam.p_perp, want, atol=1e-12)
+    np.testing.assert_allclose(jam.u_c @ jam.u_c.conj().T, want, atol=1e-12)
+    np.testing.assert_allclose(jam.u_c.sum(axis=0), 0, atol=1e-12)  # orthogonal to ones
 
 
 def test_jammer_rank_must_be_below_antenna_count():
@@ -304,7 +312,7 @@ def test_scenario_file_round_trip(tmp_path, jammed_pair):
     np.testing.assert_array_equal(jam2.beta, jam.beta)
     np.testing.assert_array_equal(jam2.kappa, jam.kappa)
     np.testing.assert_array_equal(jam2.positions, jam.positions)
-    np.testing.assert_array_equal(jam2.p_perp, jam.p_perp)
+    np.testing.assert_array_equal(jam2.u_c, jam.u_c)
 
 
 def test_scenario_file_is_written_back_byte_for_byte(tmp_path, jammed_pair):
@@ -359,7 +367,7 @@ def test_older_format_scenario_file_loads_the_same_arrays(tmp_path, jammed_pair)
     for name in ("beta", "kappa", "theta", "pd", "pf", "a_tilde"):
         np.testing.assert_array_equal(getattr(wsn2, name), getattr(wsn, name))
     assert wsn2.noise_power == wsn.noise_power and wsn2.sensors == wsn.sensors
-    for name in ("phi", "beta", "kappa", "positions", "a_j", "p_perp"):
+    for name in ("phi", "beta", "kappa", "positions", "a_j", "u_c"):
         np.testing.assert_array_equal(getattr(jam2, name), getattr(jam, name))
 
 
@@ -377,7 +385,14 @@ def _one_sensor_doc(n_antennas):
                                        # a jammer's positions are required, as a sensor's
                                        ({**_one_sensor_doc(3), "jammer": {
                                            "phi": [0.3], "beta": [1.0], "kappa": [1.0]}},
-                                        "'positions'")])
+                                        "'positions'"),
+                                       # a null array is named by its field
+                                       ({"wsn": {**_one_sensor_doc(3)["wsn"], "theta": None}},
+                                        "theta: expected real numbers"),
+                                       ({**_one_sensor_doc(3), "jammer": {
+                                           "phi": [0.3], "beta": [1.0], "kappa": [1.0],
+                                           "positions": None}},
+                                        "positions: expected real numbers")])
 def test_malformed_scenario_file_exits_2_before_touching_the_output(tmp_path, capsys,
                                                                     doc, named):
     path = tmp_path / "bad.json"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ricianfusion as rf
-from conftest import augment, aug_cov, make_deployment, moment_zscores, real_to_aug
+from conftest import (augment, aug_cov, complex_char, make_deployment, moment_zscores,
+                      real_to_aug)
 
 
 # ------------------------------------------------------------ primitives
@@ -118,32 +119,25 @@ def test_unconditional_moments_match_closed_form(small_wsn):
     for h in (rf.H0, rf.H1):
         x = rf.draw_decisions(small_wsn, h, rng, size=t)
         y = rf.draw_received(small_wsn, x, rng)
-        max_z, compared = moment_zscores(rf.second_order_char(small_wsn, h), y)
+        max_z, compared = moment_zscores(complex_char(small_wsn, h), y)
         assert compared > 0
         assert max_z < 5.0, f"h={h}: worst moment z-score {max_z:.2f}"
 
 
 def test_char_structure(small_wsn):
+    t = real_to_aug(small_wsn.n_antennas)
     for h in (rf.H0, rf.H1):
         c = rf.second_order_char(small_wsn, h)
-        n = small_wsn.n_antennas
-        np.testing.assert_allclose(c.cov, c.cov.conj().T, atol=1e-12)
-        assert np.linalg.eigvalsh(c.cov).min() > 0
-        np.testing.assert_allclose(c.pcov, c.pcov.T, atol=1e-12)
-        # real_cov = T^H Sigma_aug T / 4, a real symmetric matrix
-        t = real_to_aug(n)
-        ref = t.conj().T @ aug_cov(c) @ t / 4
+        np.testing.assert_array_equal(c.mean, complex_char(small_wsn, h).mean)
+        # real_cov = T^H Sigma_aug T / 4, a real symmetric positive definite
+        # matrix, with Sigma_aug built from the complex cov and pcov
+        ref = t.conj().T @ aug_cov(small_wsn, h) @ t / 4
         tol = 1e-12 * np.abs(ref).max()
         assert np.isrealobj(c.real_cov)
         np.testing.assert_allclose(c.real_cov, c.real_cov.T, atol=tol)
+        assert np.linalg.eigvalsh(c.real_cov).min() > 0
         np.testing.assert_allclose(ref.imag, 0.0, atol=tol)
         np.testing.assert_allclose(c.real_cov, ref.real, atol=tol)
-        # cov = A Sigma_x A^H + sigma_e2 I with sigma_e2 = noise + nu . rho(h)
-        at, rho = small_wsn.a_tilde, small_wsn.rho(h)
-        sigma_e2 = small_wsn.noise_power + small_wsn.nu @ rho
-        np.testing.assert_allclose(
-            c.cov - (at * (rho * (1 - rho))) @ at.conj().T, sigma_e2 * np.eye(n),
-            atol=1e-12 * sigma_e2)
 
 
 def test_identical_operating_points_make_hypotheses_indistinguishable(small_wsn):
@@ -174,7 +168,7 @@ def test_pure_los_jammer_lives_in_the_interference_subspace(jammed_pair):
     x = rf.draw_decisions(wsn, rf.H1, np.random.default_rng(4), size=64)
     y = rf.draw_received(wsn, x, np.random.default_rng(66))
     y_s, _ = rf.draw_jammed(wsn, los_only, x, np.random.default_rng(66))
-    resid = (y_s - y) @ los_only.p_perp.T
+    resid = (y_s - y) @ los_only.u_c.conj()  # coordinates in the clean subspace
     scale = np.abs(y_s - y).max()
     assert np.abs(resid).max() < 1e-6 * scale
 
@@ -219,7 +213,7 @@ def test_jammed_moments_match_projector_split(jammed_pair):
     rng = np.random.default_rng(1234)
     y_s, psi = rf.draw_jammed(wsn, jam, x, rng)
     n, r = jam.n_antennas, jam.rank
-    perp = y_s @ jam.u_j[:, r:].conj()  # coordinates in the jammer-free subspace
+    perp = y_s @ jam.u_c.conj()  # coordinates in the jammer-free subspace
     # per complex coordinate: noise + jammer scattered power
     expect = wsn.noise_power + float(jam.nu.sum())
     emp = np.mean(np.abs(perp) ** 2)
