@@ -347,18 +347,17 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
     if run_all:
         # closed-form reduction of both subspace GLRTs with no LOS component
         eng = new_engine(flat, jam)
-        ctx = eng.ctx
         n = flat.n_antennas
         batch = eng.sample(H1, min(trials, 2000), 0)
-        e = jamming_rules.nlos_glrt(batch.y, jam)
+        e = eng.eval("nlos-glrt", batch)
         ref_is = jamming_rules.nlos_piecewise_reference(
             e, flat.noise_power, flat.noise_power + float(flat.nu.sum()), n)
-        d_is = float(np.max(np.abs(jamming_rules.is_glrt(batch.y, ctx, jam) - ref_is)))
+        d_is = float(np.max(np.abs(eng.eval("is-glrt", batch) - ref_is)))
         results.append(("piecewise-is-glrt", d_is <= 1e-9, f"max_abs_diff={d_is:.2e}"))
         s0 = float(flat.beta @ flat.pf + flat.noise_power)
         s1 = float(flat.beta @ flat.pd + flat.noise_power)
         ref_ig = jamming_rules.nlos_piecewise_reference(e, s0, s1, n)
-        d_ig = float(np.max(np.abs(jamming_rules.igmm_glrt(batch.y, ctx, jam) - ref_ig)))
+        d_ig = float(np.max(np.abs(eng.eval("igmm-glrt", batch) - ref_ig)))
         results.append(("piecewise-igmm-glrt", d_ig <= 1e-9, f"max_abs_diff={d_ig:.2e}"))
 
         p = jam.u_c @ jam.u_c.conj().T
@@ -427,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     deployment_flags(g)
     g.add_argument("--r", type=int, default=2, help="jammer rank")
     g.add_argument("--kappa-zero", action="store_true",
-                   help="force all Rician factors to zero")
+                   help="zero every sensor's Rician factor (a jammer keeps its own)")
     g.add_argument("--out", default=None, help="scenario file to write")
     common(g, threads=False)
     g.set_defaults(func=cmd_generate)

@@ -13,8 +13,9 @@ Every kernel maps a batch of received vectors (T, N) to a (T,) array.
 ``RuleContext`` carries the per-hypothesis moments and inverse covariances of
 the real coordinates yr = [Re y; Im y], in which ``wl0``, ``wl1`` and ``igmm``
 work, and the mixture tables once first read; ``wl0``/``wl1`` derive their
-weights from it per call.  ``RULES`` lists all ten statistics (these
-six and the four jammer-aware ones of ``jamming_rules``) with what each needs.
+weights from it per call.  ``RULES`` lists all ten statistics (these six and
+the four jammer-aware ones of ``jamming_rules``) with what each needs, and
+``montecarlo.Engine.eval`` is the one place that checks a name against it.
 """
 
 from __future__ import annotations
@@ -131,10 +132,11 @@ def llr(y, ctx: RuleContext, jammer: JammerScenario | None = None, psi=None):
 
 
 def is_rule(y, ctx: RuleContext):
-    """Ideal-sensor statistic 2 Re(mu_bar^H y) + (nu_bar / sigma_w^2) ||y||^2."""
+    """Ideal-sensor statistic 2 Re(mu_bar^H y) + (nu_bar / sigma_w^2) ||y||^2, with
+    mu_bar the mean column of A_tilde and nu_bar the mean scattered power."""
     sc = ctx.scenario
-    return (2.0 * (y @ sc.mu_bar.conj()).real
-            + (sc.nu_bar / sc.noise_power) * np.sum(np.abs(y) ** 2, axis=1))
+    return (2.0 * (y @ sc.a_tilde.mean(axis=1).conj()).real
+            + (float(sc.nu.mean()) / sc.noise_power) * np.sum(np.abs(y) ** 2, axis=1))
 
 
 def nlos_rule(y):
@@ -227,7 +229,7 @@ RULES = {
                     jammer_aware=True, needs_jammer=True),
     "nlos-glrt": Rule(lambda y, ctx, jam, ws, psi: jamming_rules.nlos_glrt(y, jam),
                       jammer_aware=True, needs_jammer=True),
-    "igmm-glrt": Rule(lambda y, ctx, jam, ws, psi: jamming_rules.igmm_glrt(y, ctx, jam, ws),
+    "igmm-glrt": Rule(lambda y, ctx, jam, ws, psi: jamming_rules.igmm_glrt(y, ctx, ws),
                       jammer_aware=True, needs_jammer=True),
 }
 FREE_RULES = tuple(name for name, rule in RULES.items() if not rule.jammer_aware)
@@ -235,7 +237,7 @@ JAM_RULES = tuple(name for name, rule in RULES.items() if rule.jammer_aware)
 
 
 def evaluate(rule: str, y, ctx: RuleContext):
-    """Evaluate an interference-free rule by name on a (T, N) batch."""
-    if rule not in FREE_RULES:
-        raise ValueError(f"unknown fusion rule {rule!r}; choose from {FREE_RULES}")
+    """Evaluate an interference-free rule by name on a (T, N) batch, unchecked:
+    ``Engine.eval`` checks it; the benchmark (``perfbench/gate.py``, ``tracing.py``)
+    is the only other caller."""
     return RULES[rule].kernel(y, ctx, None, None, None)

@@ -206,9 +206,8 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
     return JammerWorkspace(basis=tuple(basis), solvers=tuple(solvers))
 
 
-def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
-              ws: JammerWorkspace | None = None):
-    """Moment-matched subspace GLRT.
+def igmm_glrt(y_s, ctx: RuleContext, ws: JammerWorkspace):
+    """Moment-matched subspace GLRT on the workspace ``build_workspace(ctx, jammer)``.
 
     Per hypothesis: take the 2(N-r) clean coordinates real_coords(y - m) @
     basis, estimate the residual floor by ML there, and form the concentrated
@@ -216,8 +215,6 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
     gives the same: its eigenvalues and energies are twice these, which
     shifts each maximum by -2N log 2.
     """
-    if ws is None:
-        ws = build_workspace(ctx, jammer)
     loglik = []
     for char, basis, solver in zip(ctx.char, ws.basis, ws.solvers):
         v2 = (real_coords(y_s - char.mean[None, :]) @ basis) ** 2
@@ -227,14 +224,7 @@ def igmm_glrt(y_s, ctx: RuleContext, jammer: JammerScenario,
 
 def evaluate_jam(rule: str, y_s, ctx: RuleContext, jammer: JammerScenario | None,
                  ws: JammerWorkspace | None = None, psi=None):
-    """Evaluate a jammer-aware rule by name on a (T, N) batch.
-
-    ``psi`` (T, r) holds the jammer symbols the clairvoyant LRT is given.
-    """
-    if rule not in fusion_rules.JAM_RULES:
-        raise ValueError(f"unknown jammer-aware rule {rule!r}; "
-                         f"choose from {fusion_rules.JAM_RULES}")
-    spec = fusion_rules.RULES[rule]
-    if spec.needs_jammer and jammer is None:
-        raise ValueError(f"rule {rule!r} needs a jammer scenario")
-    return spec.kernel(y_s, ctx, jammer, ws, psi)
+    """Evaluate a jammer-aware rule by name on a (T, N) batch (``psi`` (T, r): the jammer
+    symbols the clairvoyant LRT is given), unchecked: ``Engine.eval`` checks it, and the
+    benchmark (``perfbench/gate.py``, ``tracing.py``) is the only other caller."""
+    return fusion_rules.RULES[rule].kernel(y_s, ctx, jammer, ws, psi)

@@ -146,11 +146,13 @@ class Engine:
         return self._cache[key]
 
     def eval(self, rule: str, batch: SampleBatch) -> np.ndarray:
-        """Evaluate a RULES name on a batch, block by block across threads;
-        a statistic that is not finite is a numerical failure (LinAlgError)."""
+        """Check a RULES name and its jammer (the one rule check), then evaluate it on a
+        batch block by block across threads; a non-finite statistic is a LinAlgError."""
         if rule not in fusion_rules.RULES:
             raise ValueError(
                 f"unknown rule {rule!r}; choose from {', '.join(fusion_rules.RULES)}")
+        if fusion_rules.RULES[rule].needs_jammer and self.jammer is None:
+            raise ValueError(f"rule {rule!r} needs a jammer scenario")
         jammed = rule in fusion_rules.JAM_RULES
         ws = self.workspace if jammed else None  # built before the pool starts
 

@@ -142,15 +142,17 @@ def _floats(name: str, value, like=None) -> np.ndarray:
 
 
 def _check_links(name, bearing, beta, kappa, positions) -> None:
-    """Both scenario classes' checks: nonempty 1-d bearings (field ``name``), finite
-    values, beta > 0, kappa >= 0, and one finite (x, y) row per link."""
+    """Both scenario classes' checks, each message led by its field: nonempty 1-d
+    bearings (``name``), finite values, beta > 0, kappa >= 0, one finite (x, y) row per link."""
     if bearing.ndim != 1 or bearing.size == 0:
         raise ValueError(f"{name}: need a nonempty 1-d array of bearings, "
                          f"got shape {bearing.shape}")
-    if not np.all(np.isfinite([bearing, beta, kappa])):
-        raise ValueError("bearings, gains and Rician factors must be finite")
-    if np.any(beta <= 0) or np.any(kappa < 0):
-        raise ValueError("gains beta must be positive and Rician factors kappa nonnegative")
+    for field_, ok, need in ((name, np.isfinite(bearing), "finite bearings"),
+                             ("beta", np.isfinite(beta) & (beta > 0), "finite positive gains"),
+                             ("kappa", np.isfinite(kappa) & (kappa >= 0),
+                              "finite nonnegative Rician factors")):
+        if not np.all(ok):
+            raise ValueError(f"{field_}: need {need}")
     if not (positions.shape == (bearing.size, 2) and np.all(np.isfinite(positions))):
         raise ValueError(f"positions must be {bearing.size} finite (x, y) rows")
 
@@ -169,9 +171,9 @@ class WsnScenario:
 
     Sensor k is the Rician link (beta[k], kappa[k], theta[k]) at positions[k]
     with the operating point (pd[k], pf[k]); beta, kappa, pd and pf broadcast
-    against theta.  Fields are kept as read-only copies and the derived arrays
-    are computed once.  A variant (another N or noise power, kappa = 0, ideal
-    sensors) is ``with_(**changes)``, which re-derives them.
+    against theta.  Fields are read-only copies; the model's derived arrays b, nu
+    and a_tilde (no rule constants) are computed once.  A variant (another N or noise
+    power, kappa = 0, ideal sensors) is ``with_(**changes)``, which re-derives them.
     """
 
     theta: np.ndarray
@@ -186,8 +188,6 @@ class WsnScenario:
     b: np.ndarray = field(init=False, repr=False)
     nu: np.ndarray = field(init=False, repr=False)
     a_tilde: np.ndarray = field(init=False, repr=False)
-    mu_bar: np.ndarray = field(init=False, repr=False)
-    nu_bar: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_antennas < 1:
@@ -204,8 +204,6 @@ class WsnScenario:
         links = _rician_links(self.theta, self.beta, self.kappa, self.n_antennas)
         for name, value in zip(("b", "nu", "a_tilde"), links):  # a_tilde: mean channel
             set_(self, name, _lock(value))
-        set_(self, "mu_bar", _lock(self.a_tilde.mean(axis=1)))
-        set_(self, "nu_bar", float(self.nu.mean()))
 
     @property
     def k_sensors(self) -> int:

@@ -141,7 +141,7 @@ def test_criterion_6_zero_rician_glrt_piecewise_reduction():
     pairs = {
         "is-glrt": (rf.is_glrt(y, ctx, jam),
                     flat.noise_power, flat.noise_power + float(flat.nu.sum())),
-        "igmm-glrt": (rf.igmm_glrt(y, ctx, jam),
+        "igmm-glrt": (rf.igmm_glrt(y, ctx, rf.build_workspace(ctx, jam)),
                       float(flat.beta @ flat.pf + flat.noise_power),
                       float(flat.beta @ flat.pd + flat.noise_power)),
     }

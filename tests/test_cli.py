@@ -386,6 +386,16 @@ def test_generate_kappa_zero_flag(tmp_path, capsys):
     assert rc == 0
     wsn, _ = rf.load_scenario(path)
     np.testing.assert_array_equal(wsn.kappa, np.zeros(3))
+    # every sensor's Rician factor goes to zero; a jammer keeps its own
+    jammed = {}
+    for flags in ([], ["--kappa-zero"]):
+        out = tmp_path / f"jammed{len(flags)}.json"
+        assert cli.main(["generate", "--preset", "nlos", "--k", "3", "--n", "4", "--jammer",
+                         "los-jam", *flags, "--out", str(out)]) == 0
+        jammed[bool(flags)] = rf.load_scenario(out)
+    np.testing.assert_array_equal(jammed[True][0].kappa, np.zeros(3))
+    assert np.all(jammed[False][0].kappa > 0)
+    np.testing.assert_array_equal(jammed[True][1].kappa, jammed[False][1].kappa)
     capsys.readouterr()
 
 
@@ -597,13 +607,22 @@ def test_verify_ideal_sensor_battery_passes(capsys):
         assert f"{name}: pass" in out
 
 
-def test_verify_full_battery_passes(capsys):
+def test_verify_full_battery_passes(capsys, monkeypatch):
     # no battery flag: every check, including lemma2, the subspace-GLRT
-    # reductions (igmm-glrt without a prebuilt workspace), the projector and
-    # the floor-solver oracle
+    # reductions, the projector and the floor-solver oracle
+    calls = []
+    engine_eval = rf.Engine.eval
+
+    def recorded(self, rule, batch):
+        calls.append((rule, batch.y.shape[0]))
+        return engine_eval(self, rule, batch)
+    monkeypatch.setattr(rf.Engine, "eval", recorded)
     rc = cli.main(["verify", "--k", "6", "--n", "4", "--trials", "10000", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 0, out
+    # the piecewise reductions evaluate through the engine, on min(trials, 2000) rows
+    for rule in ("nlos-glrt", "is-glrt", "igmm-glrt"):
+        assert (rule, 2000) in calls
     for name in ("lemma1-is-nlos", "lemma1-igmm-nlos", "lemma2-rankcorr",
                  "lemma3-igmm-is", "wl-pair", "lemma3-llr-is", "jam-lemma-igmm-is-glrt",
                  "piecewise-is-glrt", "piecewise-igmm-glrt", "projector",

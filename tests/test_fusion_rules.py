@@ -414,15 +414,6 @@ def test_wl_weights_solve_at_a_badly_conditioned_corner():
                                    atol=1e-6 * np.abs(z).max())
 
 
-def test_unknown_rule_rejected(small_ctx):
-    with pytest.raises(ValueError):
-        rf.evaluate("maximum-ratio", np.zeros((1, small_ctx.scenario.n_antennas)),
-                    small_ctx)
-    with pytest.raises(ValueError):      # jammer-aware rules go through evaluate_jam
-        rf.evaluate("clairvoyant", np.zeros((1, small_ctx.scenario.n_antennas)),
-                    small_ctx)
-
-
 def test_llr_collapses_to_is_rule_when_scattering_dominates():
     # weak-LOS regime: the exact LLR orders samples like the ideal-sensor
     # statistic once the deterministic component is far below the noise floor

@@ -67,7 +67,7 @@ def test_subspace_glrts_reduce_for_ideal_sensors_and_without_los(preset, k, n,
                                                                  log_noise, seed):
     wsn, jam, y = draw(preset, k, n, log_noise, seed)
     ideal = rf.make_context(force_ideal(wsn))
-    a, b = rf.igmm_glrt(y, ideal, jam), rf.is_glrt(y, ideal, jam)
+    a, b = rf.igmm_glrt(y, ideal, rf.build_workspace(ideal, jam)), rf.is_glrt(y, ideal, jam)
     assert np.abs(a - b).max() <= TOL * (1.0 + np.abs(b).max())
 
     flat = force_kappa_zero(wsn)
@@ -76,7 +76,7 @@ def test_subspace_glrts_reduce_for_ideal_sensors_and_without_los(preset, k, n,
     floors = {
         "is-glrt": (rf.is_glrt(y, ctx, jam),
                     flat.noise_power, flat.noise_power + float(flat.nu.sum())),
-        "igmm-glrt": (rf.igmm_glrt(y, ctx, jam),
+        "igmm-glrt": (rf.igmm_glrt(y, ctx, rf.build_workspace(ctx, jam)),
                       float(flat.beta @ flat.pf + flat.noise_power),
                       float(flat.beta @ flat.pd + flat.noise_power)),
     }

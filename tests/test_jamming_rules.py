@@ -341,7 +341,7 @@ def test_glrts_ignore_interference_subspace_shifts(jammed_pair):
     pairs = [
         (rf.is_glrt(y, ctx, jam), rf.is_glrt(y_shift, ctx, jam)),
         (rf.nlos_glrt(y, jam), rf.nlos_glrt(y_shift, jam)),
-        (rf.igmm_glrt(y, ctx, jam, ws), rf.igmm_glrt(y_shift, ctx, jam, ws)),
+        (rf.igmm_glrt(y, ctx, ws), rf.igmm_glrt(y_shift, ctx, ws)),
     ]
     for base, shifted in pairs:
         scale = np.abs(base).max() + 1.0
@@ -355,7 +355,7 @@ def test_ideal_sensors_collapse_subspace_glrts_onto_each_other(jammed_pair):
     rng = np.random.default_rng(56)
     x = rf.draw_decisions(ideal, rf.H1, rng, size=400)
     y, _ = rf.draw_jammed(ideal, jam, x, rng)
-    a = rf.igmm_glrt(y, ctx, jam)
+    a = rf.igmm_glrt(y, ctx, rf.build_workspace(ctx, jam))
     b = rf.is_glrt(y, ctx, jam)
     scale = np.abs(b).max() + 1.0
     np.testing.assert_allclose(a, b, atol=1e-9 * scale)
@@ -376,7 +376,8 @@ def test_zero_rician_factors_reduce_glrts_to_piecewise_energy_forms(jammed_pair)
     s0 = float(flat.beta @ flat.pf + flat.noise_power)
     s1 = float(flat.beta @ flat.pd + flat.noise_power)
     ref_igmm = rf.nlos_piecewise_reference(e, s0, s1, n)
-    np.testing.assert_allclose(rf.igmm_glrt(y, ctx, jam), ref_igmm, atol=1e-9)
+    np.testing.assert_allclose(rf.igmm_glrt(y, ctx, rf.build_workspace(ctx, jam)), ref_igmm,
+                               atol=1e-9)
 
 
 def test_is_glrt_clamps_on_received_signals_inside_the_jammer_subspace(jammed_pair):
@@ -436,7 +437,8 @@ def test_igmm_glrt_vanishes_when_hypotheses_coincide(jammed_pair):
     same = wsn.with_(pd=0.3, pf=0.3)
     ctx = rf.make_context(same)
     y = rf.crandn(np.random.default_rng(62), (25, wsn.n_antennas), var=3.0)
-    np.testing.assert_allclose(rf.igmm_glrt(y, ctx, jam), 0.0, atol=1e-9)
+    np.testing.assert_allclose(rf.igmm_glrt(y, ctx, rf.build_workspace(ctx, jam)), 0.0,
+                               atol=1e-9)
 
 
 def test_nlos_glrt_equals_clean_subspace_energy(jammed_pair):
@@ -452,22 +454,15 @@ def test_jam_dispatch(jammed_pair):
     wsn, jam = jammed_pair
     ctx = rf.make_context(wsn)
     y = rf.crandn(np.random.default_rng(59), (5, wsn.n_antennas))
+    ws = rf.build_workspace(ctx, jam)
     for rule in rf.JAM_RULES:
         psi = rf.draw_psi(jam, np.random.default_rng(60), 5)
-        vals = rf.evaluate_jam(rule, y, ctx, jam, psi=psi)
+        vals = rf.evaluate_jam(rule, y, ctx, jam, ws, psi=psi)
         assert vals.shape == (5,) and np.all(np.isfinite(vals))
-    with pytest.raises(ValueError):
-        rf.evaluate_jam("unknown", y, ctx, jam)
-    with pytest.raises(ValueError):
-        rf.evaluate_jam("nlos", y, ctx, jam)
-    with pytest.raises(ValueError):
-        rf.evaluate_jam("is-glrt", y, ctx, None)
-
-
-def test_igmm_glrt_precomputed_workspace_matches_ad_hoc(jammed_pair):
-    wsn, jam = jammed_pair
-    ctx = rf.make_context(wsn)
-    ws = rf.build_workspace(ctx, jam)
-    y = rf.crandn(np.random.default_rng(61), (16, wsn.n_antennas), var=2.0)
-    np.testing.assert_array_equal(rf.igmm_glrt(y, ctx, jam, ws),
-                                  rf.igmm_glrt(y, ctx, jam))
+    # the engine, not the dispatcher, checks a rule
+    with pytest.raises(ValueError, match="unknown rule 'unknown'"):
+        rf.Engine(wsn, jam).stats("unknown", rf.H0, 5, 0)
+    with pytest.raises(ValueError, match="unknown rule 'NLOS'"):
+        rf.Engine(wsn).stats("NLOS", rf.H0, 5, 0)
+    with pytest.raises(ValueError, match="rule 'is-glrt' needs a jammer scenario"):
+        rf.Engine(wsn).stats("is-glrt", rf.H0, 5, 0)

@@ -89,12 +89,19 @@ def test_engine_sample_cache_returns_same_object():
     assert eng.sample(rf.H0, 1000, 0) is eng.sample(rf.H0, 1000, 0)
 
 
-def test_engine_rejects_unknown_and_jammerless_rules(small_wsn):
+def test_engine_rejects_unknown_and_jammerless_rules(small_wsn, monkeypatch):
     eng = rf.Engine(small_wsn, seed=0)
     with pytest.raises(ValueError):
         eng.stats("bogus", rf.H0, 100, 0)
-    with pytest.raises(ValueError):
-        eng.stats("nlos-glrt", rf.H0, 100, 0)
+    batch = eng.sample(rf.H0, 100, 0)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+    # the engine rejects a rule that needs a jammer before any kernel runs
+    monkeypatch.setattr(rf.jamming_rules, "evaluate_jam", no_kernel)
+    for rule in ("is-glrt", "igmm-glrt", "nlos-glrt"):
+        with pytest.raises(ValueError, match=f"rule '{rule}' needs a jammer scenario"):
+            eng.eval(rule, batch)
 
 
 @pytest.mark.parametrize("noise_dbm,rule,n,jammer", [(-3230.0, "is", 2, None),

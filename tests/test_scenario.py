@@ -159,8 +159,8 @@ def test_mean_channel_matrix_columns():
         # column energy: N * beta * b^2
         assert np.linalg.norm(wsn.a_tilde[:, k]) ** 2 == pytest.approx(
             5 * wsn.beta[k] * wsn.b[k] ** 2, rel=1e-12)
-    np.testing.assert_allclose(wsn.mu_bar, wsn.a_tilde.mean(axis=1), rtol=1e-14)
-    assert wsn.nu_bar == pytest.approx(wsn.nu.mean(), rel=1e-14)
+    # the model only: the is rule's constants are the is rule's
+    assert not hasattr(wsn, "mu_bar") and not hasattr(wsn, "nu_bar")
 
 
 def test_sigma_e2_is_noise_plus_active_scattered_power():
@@ -199,6 +199,10 @@ def test_link_arrays_broadcast_and_are_kept_as_read_only_copies():
     ({"pd": ["0.5", "0.5", "0.5"]}, "real numbers"),   # strings are not converted
     ({"theta": None}, "real numbers"),
     ({"positions": [[0.0, 0.0], [1.0], [2.0, 2.0]]}, "inhomogeneous"),
+    ({"theta": [0.3, math.inf, 2.0]}, "finite bearings"),
+    ({"beta": [1.0, math.inf, 3.0]}, "finite positive gains"),
+    ({"beta": [1.0, -1.0, 3.0]}, "finite positive gains"),
+    ({"kappa": [1.0, -1.0, 1.0]}, "finite nonnegative Rician factors"),
 ])
 def test_link_arrays_that_do_not_fit_are_rejected(change, named):
     wsn = rf.WsnScenario(theta=[0.3, 1.2, 2.0], beta=[1.0, 2.0, 3.0], kappa=1.0, pd=0.5,
@@ -423,6 +427,7 @@ def test_scenario_file_with_a_non_finite_number_exits_2_naming_the_file(
     assert rc == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("usage error") and str(path) in err and "finite" in err
+    assert f"{path}: {key}" in err  # the message names the entry
 
 
 def test_constant_symbol_jammer_file_exits_2(tmp_path, jammed_pair, capsys):
