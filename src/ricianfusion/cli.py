@@ -292,12 +292,6 @@ def _check_equivalence(name, engine, rule_a, rule_b, trials, results):
                     f"max_disagree={res.max_disagreement:.2e})"))
 
 
-def _grid_loglik(lambda_a, lambda_c, v2, s):
-    s = np.asarray(s)[:, None]
-    return (-np.sum(np.log(lambda_a[None, :] + s), axis=1)
-            - np.sum(v2[None, :] / (lambda_c[None, :] + s), axis=1))
-
-
 def _verify_battery(args) -> list[tuple[str, bool, str]]:
     results: list[tuple[str, bool, str]] = []
     seed = args.seed
@@ -374,11 +368,12 @@ def _verify_battery(args) -> list[tuple[str, bool, str]]:
             la = rng.uniform(0.1, 50.0, size=2 * nn)
             lc = rng.uniform(0.1, 50.0, size=2 * (nn - rr))
             v2 = rng.uniform(0.0, 200.0, size=2 * (nn - rr))
-            s_hat = jamming_rules.solve_sigma_poly(la, lc, v2)
-            grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3 * la.max(), 4000)])
-            l_hat = _grid_loglik(la, lc, v2, np.array([s_hat]))[0]
-            l_grid = _grid_loglik(la, lc, v2, grid).max()
-            worst = max(worst, l_grid - l_hat)
+            solver = jamming_rules.FloorSolver(la, lc)
+            # the solution, then a 4,001-point grid, both scored by the solver's L
+            s = np.concatenate([solver.solve_batch(v2[None, :]), [0.0],
+                                np.geomspace(1e-6, 1e3 * la.max(), 4000)])
+            l_s = solver.loglik(np.broadcast_to(v2, (s.size, v2.size)), s)
+            worst = max(worst, l_s[1:].max() - l_s[0])
         results.append(("sigma-poly-oracle", worst <= 1e-6,
                         f"max_loglik_gap={worst:.2e}"))
 

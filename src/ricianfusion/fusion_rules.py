@@ -194,6 +194,14 @@ def igmm_rule(y, ctx: RuleContext):
     return q0 - q1
 
 
+def evaluate(rule: str, y, ctx: RuleContext, jammer: JammerScenario | None = None,
+             ws=None, psi=None):
+    """Evaluate any rule by name on a (T, N) batch (``ws``: the jammer workspace;
+    ``psi`` (T, r): the jammer symbols the clairvoyant LRT is given), unchecked:
+    ``Engine.eval`` checks the name and the jammer first."""
+    return RULES[rule].kernel(y, ctx, jammer, ws, psi)
+
+
 # The jammer-aware kernels build on RuleContext and llr above.
 from . import jamming_rules  # noqa: E402
 
@@ -208,7 +216,7 @@ class Rule:
     """
 
     kernel: Callable[..., np.ndarray]
-    jammer_aware: bool = False  # evaluated through jamming_rules.evaluate_jam
+    jammer_aware: bool = False  # in JAM_RULES, which Engine.eval times as jamming_rules
     needs_jammer: bool = False  # undefined without a jammer scenario
     enumerates: bool = False    # sums 2^K mixture terms, so K <= MAX_ENUM_K
     needs_rate_gap: bool = False  # undefined when every sensor has pd = pf
@@ -235,9 +243,3 @@ RULES = {
 FREE_RULES = tuple(name for name, rule in RULES.items() if not rule.jammer_aware)
 JAM_RULES = tuple(name for name, rule in RULES.items() if rule.jammer_aware)
 
-
-def evaluate(rule: str, y, ctx: RuleContext):
-    """Evaluate an interference-free rule by name on a (T, N) batch, unchecked:
-    ``Engine.eval`` checks it; the benchmark (``perfbench/gate.py``, ``tracing.py``)
-    is the only other caller."""
-    return RULES[rule].kernel(y, ctx, None, None, None)

@@ -11,7 +11,7 @@
 
 The residual-floor ML step maximises a one-dimensional concentrated
 log-likelihood that depends on the trial only through the rotated
-measurement energies; ``SigmaPolySolver`` finds that maximum by a certified
+measurement energies; ``FloorSolver`` finds that maximum by a certified
 bracket search over all trials of a batch at once.
 """
 
@@ -79,7 +79,7 @@ def nlos_piecewise_reference(r0_norm2, sigma_a2: float, sigma_b2: float, n: int)
     return float(out) if out.ndim == 0 else out
 
 
-class SigmaPolySolver:
+class FloorSolver:
     """ML estimator of the residual interference floor sigma_j^2.
 
     The concentrated log-likelihood for floor s >= 0 is
@@ -94,8 +94,7 @@ class SigmaPolySolver:
     [0, S] is halved until each piece is certified: where L' keeps one sign
     or L is convex the maximum is an end, where L is concave bisection on
     the sign of L' finds it.  The ends, s = 0 and S are compared by L; ties
-    go to the smaller floor.  The name survives from a solver that took the
-    roots of a polynomial, because ``perfbench`` traces the class by name.
+    go to the smaller floor.
     """
 
     def __init__(self, lambda_a: np.ndarray, lambda_c: np.ndarray):
@@ -171,10 +170,13 @@ class SigmaPolySolver:
         return s[order[first]]
 
 
+SigmaPolySolver = FloorSolver  # the name perfbench traces the solver by
+
+
 def solve_sigma_poly(lambda_a, lambda_c, v_abs2) -> float:
-    """One-shot ML residual floor (see SigmaPolySolver)."""
+    """One-shot ML residual floor (see FloorSolver)."""
     v = np.asarray(v_abs2, dtype=float)[None, :]
-    return float(SigmaPolySolver(lambda_a, lambda_c).solve_batch(v)[0])
+    return float(FloorSolver(lambda_a, lambda_c).solve_batch(v)[0])
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ class JammerWorkspace:
     """
 
     basis: tuple[np.ndarray, np.ndarray]
-    solvers: tuple[SigmaPolySolver, SigmaPolySolver]
+    solvers: tuple[FloorSolver, FloorSolver]
 
 
 def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace:
@@ -202,7 +204,7 @@ def build_workspace(ctx: RuleContext, jammer: JammerScenario) -> JammerWorkspace
         lc, uc = np.linalg.eigh(q.T @ char.real_cov @ q)
         basis.append(q @ uc)
         # a rotation keeps the spectrum, so that of real_cov is the full one
-        solvers.append(SigmaPolySolver(np.linalg.eigvalsh(char.real_cov), np.maximum(lc, 0.0)))
+        solvers.append(FloorSolver(np.linalg.eigvalsh(char.real_cov), np.maximum(lc, 0.0)))
     return JammerWorkspace(basis=tuple(basis), solvers=tuple(solvers))
 
 
@@ -222,9 +224,5 @@ def igmm_glrt(y_s, ctx: RuleContext, ws: JammerWorkspace):
     return 0.5 * (loglik[1] - loglik[0])
 
 
-def evaluate_jam(rule: str, y_s, ctx: RuleContext, jammer: JammerScenario | None,
-                 ws: JammerWorkspace | None = None, psi=None):
-    """Evaluate a jammer-aware rule by name on a (T, N) batch (``psi`` (T, r): the jammer
-    symbols the clairvoyant LRT is given), unchecked: ``Engine.eval`` checks it, and the
-    benchmark (``perfbench/gate.py``, ``tracing.py``) is the only other caller."""
-    return fusion_rules.RULES[rule].kernel(y_s, ctx, jammer, ws, psi)
+
+evaluate_jam = fusion_rules.evaluate  # the name perfbench calls and traces jammer rules by

@@ -147,21 +147,21 @@ class Engine:
 
     def eval(self, rule: str, batch: SampleBatch) -> np.ndarray:
         """Check a RULES name and its jammer (the one rule check), then evaluate it on a
-        batch block by block across threads; a non-finite statistic is a LinAlgError."""
+        batch block by block across threads; a non-finite statistic is a LinAlgError.
+        A jammer-aware rule goes through ``jamming_rules.evaluate_jam``, the same
+        function as ``fusion_rules.evaluate``, so that a trace times it under its layer."""
         if rule not in fusion_rules.RULES:
             raise ValueError(
                 f"unknown rule {rule!r}; choose from {', '.join(fusion_rules.RULES)}")
         if fusion_rules.RULES[rule].needs_jammer and self.jammer is None:
             raise ValueError(f"rule {rule!r} needs a jammer scenario")
         jammed = rule in fusion_rules.JAM_RULES
+        evaluate = jamming_rules.evaluate_jam if jammed else fusion_rules.evaluate
         ws = self.workspace if jammed else None  # built before the pool starts
 
         def run(sl):
-            if not jammed:
-                return fusion_rules.evaluate(rule, batch.y[sl], self.ctx)
             psi = None if batch.psi is None else batch.psi[sl]
-            return jamming_rules.evaluate_jam(rule, batch.y[sl], self.ctx,
-                                              self.jammer, ws, psi=psi)
+            return evaluate(rule, batch.y[sl], self.ctx, self.jammer, ws, psi)
 
         slices = _blocks(batch.y.shape[0])
         if self.threads == 1 or len(slices) == 1:
@@ -209,12 +209,11 @@ def estimate_pd0(engine: Engine, test: CalibratedTest, trials: int) -> McEstimat
                       trials=trials)
 
 
-def equivalence_check(engine: Engine, rule_a, rule_b, trials: int,
-                      levels: tuple[float, ...] = DEFAULT_LEVELS) -> EquivalenceResult:
+def equivalence_check(engine: Engine, rule_a, rule_b, trials: int) -> EquivalenceResult:
     """Decision-level comparison of two rules under common random numbers.
 
     Thresholds for both rules are calibrated at matched quantiles of the
-    same H0 calibration sample for each target level; decisions are then
+    same H0 calibration sample for each level of DEFAULT_LEVELS; decisions are then
     compared on fresh common H0 and H1 samples.  Verdicts:
 
       equivalent           decisions agree on every trial at every level
@@ -223,9 +222,9 @@ def equivalence_check(engine: Engine, rule_a, rule_b, trials: int,
     """
     from scipy.stats import spearmanr  # costly import, needed only here
 
-    if trials < 100.0 / min(levels):
-        raise ValueError(
-            f"need trials >= {math.ceil(100.0 / min(levels))} for levels {levels}")
+    if trials < 100.0 / min(DEFAULT_LEVELS):
+        raise ValueError(f"need trials >= {math.ceil(100.0 / min(DEFAULT_LEVELS))} "
+                         f"for levels {DEFAULT_LEVELS}")
     cal = engine.sample(H0, trials, CALIBRATE)
     ev0 = engine.sample(H0, trials, COMPARE_H0)
     ev1 = engine.sample(H1, trials, COMPARE_H1)
@@ -234,7 +233,7 @@ def equivalence_check(engine: Engine, rule_a, rule_b, trials: int,
     a_ev = np.concatenate([engine.eval(rule_a, ev0), engine.eval(rule_a, ev1)])
     b_ev = np.concatenate([engine.eval(rule_b, ev0), engine.eval(rule_b, ev1)])
     rates = []
-    for level in levels:
+    for level in DEFAULT_LEVELS:
         ga = upper_quantile(a_cal, level)
         gb = upper_quantile(b_cal, level)
         rates.append(float(np.mean((a_ev > ga) != (b_ev > gb))))
@@ -247,7 +246,7 @@ def equivalence_check(engine: Engine, rule_a, rule_b, trials: int,
     else:
         verdict = "distinct"
     return EquivalenceResult(verdict=verdict, spearman=rho,
-                             max_disagreement=max_dis, levels=tuple(levels),
+                             max_disagreement=max_dis, levels=DEFAULT_LEVELS,
                              disagreement=tuple(rates))
 
 

@@ -67,23 +67,6 @@ def lin_to_db(x):
 
 
 @dataclass(frozen=True)
-class SensorParams:
-    """One sensor's row of a ``WsnScenario``: a plain record with no checks.
-
-    beta is the large-scale channel gain (linear), kappa the Rician factor
-    (linear), theta the bearing seen by the array in [0, pi], and (pd, pf)
-    the sensor's local detection/false-alarm probabilities.
-    """
-
-    position: tuple[float, float]
-    beta: float
-    kappa: float
-    theta: float
-    pd: float
-    pf: float
-
-
-@dataclass(frozen=True)
 class DeploymentConfig:
     """What varies between drawn deployments; the recipe itself is fixed.
 
@@ -210,12 +193,11 @@ class WsnScenario:
         return self.theta.size
 
     @property
-    def sensors(self) -> tuple[SensorParams, ...]:
-        """One ``SensorParams`` row per sensor, built from the arrays.  Nothing
-        in this package reads it; it serves the benchmark's reference model
-        (``perfbench/gate.py``), which iterates the rows."""
-        rows = np.column_stack([self.beta, self.kappa, self.theta, self.pd, self.pf]).tolist()
-        return tuple(SensorParams(tuple(p), *r) for p, r in zip(self.positions.tolist(), rows))
+    def sensors(self) -> np.recarray:
+        """The arrays as K records with fields beta, kappa, theta, pd and pf, for the
+        benchmark's reference model (``perfbench/gate.py``); nothing here reads it."""
+        return np.rec.fromarrays([self.beta, self.kappa, self.theta, self.pd, self.pf],
+                                 names="beta,kappa,theta,pd,pf")
 
     def rho(self, h: int) -> np.ndarray:
         """Vector of marginal transmit probabilities under hypothesis h."""
@@ -325,6 +307,17 @@ def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
 _WSN_ARRAYS = ("beta", "kappa", "theta", "pd", "pf", "positions")
 
 
+def _numbers(name: str, value):
+    """``value`` if no JSON ``true``/``false`` or string sits anywhere in it: numpy
+    and ``float()`` would read them as numbers."""
+    if isinstance(value, list):
+        for v in value:
+            _numbers(name, v)
+    elif isinstance(value, (bool, str)):
+        raise ValueError(f"{name}: expected real numbers, got {value!r}")
+    return value
+
+
 def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,
                   jammer: JammerScenario | None = None) -> None:
     doc = {
@@ -345,7 +338,8 @@ def load_scenario(path):
 
     Keys this version does not read are ignored.  A file that is not JSON,
     or a missing, malformed or non-finite entry (an antenna count that is not
-    a JSON integer included), raises ValueError naming the file.  A jammer
+    a JSON integer, and a ``true``, ``false`` or string where a number belongs,
+    included), raises ValueError naming the file.  A jammer
     whose symbols are not uniform-phase (files of older versions could hold a
     constant-symbol jammer) is rejected: ``signal_model.draw_psi`` is the only
     symbol model.
@@ -354,19 +348,22 @@ def load_scenario(path):
         with open(path) as fh:
             doc = json.load(fh)
         w = doc["wsn"]
-        arrays = {name: w[name] for name in _WSN_ARRAYS}  # "beta" first: names it if absent
+        # "beta" first: names it if absent
+        arrays = {name: _numbers(name, w[name]) for name in _WSN_ARRAYS}
         n = w["n_antennas"]
         if type(n) is not int:  # a JSON integer: neither 2.7 nor true
             raise ValueError(f"n_antennas must be an integer, got {n!r}")
-        wsn = WsnScenario(**arrays, n_antennas=n, noise_power=float(w["noise_power"]))
+        wsn = WsnScenario(**arrays, n_antennas=n,
+                          noise_power=float(_numbers("noise_power", w["noise_power"])))
         if "jammer" not in doc:
             return wsn, None
         j = doc["jammer"]
         if j.get("signal_policy", "uniform-phase") != "uniform-phase":
             raise ValueError(f"jammer symbol policy {j['signal_policy']!r} is not "
                              "supported (only uniform-phase)")
-        return wsn, JammerScenario(phi=j["phi"], beta=j["beta"], kappa=j["kappa"],
-                                   n_antennas=wsn.n_antennas, positions=j["positions"])
+        return wsn, JammerScenario(**{name: _numbers(name, j[name]) for name in
+                                      ("phi", "beta", "kappa", "positions")},
+                                   n_antennas=wsn.n_antennas)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"scenario file {path}: missing or malformed entry "
                          f"({type(exc).__name__}: {exc})") from None

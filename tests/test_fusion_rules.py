@@ -109,7 +109,7 @@ def test_llr_enumeration_cap_raises_cleanly():
     with pytest.raises(rf.UnsupportedSizeError, match="K <= 16"):
         rf.llr(y, ctx)
     with pytest.raises(rf.UnsupportedSizeError):
-        rf.evaluate_jam("clairvoyant", y, ctx, jam, psi=rf.draw_psi(
+        rf.evaluate("clairvoyant", y, ctx, jam, psi=rf.draw_psi(
             jam, np.random.default_rng(0), 1))
     assert issubclass(rf.UnsupportedSizeError, ValueError)
 

@@ -20,7 +20,7 @@ def grid_refine_floor(la, lc, v2):
 
     Dense log grid over a generous range, then bounded scalar refinement
     around the best grid point.  Shares no code with the bracket search of
-    ``SigmaPolySolver``: it never looks at the slope or the curvature of L.
+    ``FloorSolver``: it never looks at the slope or the curvature of L.
     """
     hi = 1e3 * max(la.max(), lc.max(), v2.max(), 1.0)
     grid = np.concatenate([[0.0], np.geomspace(1e-9, hi, 6000)])
@@ -106,7 +106,7 @@ def test_floor_solver_scale_equivariance():
 def test_floor_solver_handles_near_equal_eigenvalues():
     la = np.array([1.0, 1.0 + 1e-12, 3.0, 3.0, 3.0 - 1e-12, 7.0])
     lc = np.array([2.0, 2.0 + 1e-13, 5.0])
-    solver = rf.SigmaPolySolver(la, lc)
+    solver = rf.FloorSolver(la, lc)
     v2 = np.array([30.0, 11.0, 60.0])
     s = solver.solve_batch(v2[None, :])[0]
     _, l_ref = grid_refine_floor(la, lc, v2)
@@ -167,7 +167,7 @@ def test_floor_solver_batch_matches_single():
     rng = np.random.default_rng(903)
     la = rng.uniform(0.5, 4.0, size=10)
     lc = rng.uniform(0.5, 4.0, size=6)
-    solver = rf.SigmaPolySolver(la, lc)
+    solver = rf.FloorSolver(la, lc)
     v2 = rng.uniform(0.0, 100.0, size=(40, 6))
     batch = solver.solve_batch(v2)
     singles = np.array([solver.solve_batch(v[None, :])[0] for v in v2])
@@ -177,12 +177,12 @@ def test_floor_solver_batch_matches_single():
 
 def test_floor_solver_validation():
     with pytest.raises(ValueError):
-        rf.SigmaPolySolver(np.array([]), np.array([1.0]))
+        rf.FloorSolver(np.array([]), np.array([1.0]))
     with pytest.raises(ValueError):
-        rf.SigmaPolySolver(np.array([1.0, -0.1]), np.array([1.0]))
+        rf.FloorSolver(np.array([1.0, -0.1]), np.array([1.0]))
     with pytest.raises(ValueError):
-        rf.SigmaPolySolver(np.array([1.0, np.inf]), np.array([1.0]))
-    solver = rf.SigmaPolySolver(np.ones(4), np.ones(2))
+        rf.FloorSolver(np.array([1.0, np.inf]), np.array([1.0]))
+    solver = rf.FloorSolver(np.ones(4), np.ones(2))
     with pytest.raises(ValueError):
         solver.solve_batch(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_floor_solver_validation():
 
 def test_floor_solver_brackets_energies_near_the_float_limit():
     # W^2 overflows at W ~ 1e300; the stationary point 1 + s = W/M is the floor
-    solver = rf.SigmaPolySolver(np.ones(4), np.ones(2))
+    solver = rf.FloorSolver(np.ones(4), np.ones(2))
     s = solver.solve_batch(np.array([[1e300, 3e300]]))
     np.testing.assert_allclose(s, [1e300], rtol=1e-9)
 
@@ -272,7 +272,7 @@ def test_clairvoyant_without_jammer_is_the_plain_llr(small_ctx):
     rng = np.random.default_rng(600)
     n = small_ctx.scenario.n_antennas
     y = rf.crandn(rng, (25, n), var=2.0)
-    got = rf.evaluate_jam("clairvoyant", y, small_ctx, None)
+    got = rf.evaluate("clairvoyant", y, small_ctx, None)
     np.testing.assert_array_equal(got, rf.llr(y, small_ctx))
 
 
@@ -282,7 +282,7 @@ def test_clairvoyant_with_a_jammer_needs_its_symbols(jammed_pair):
     ctx = rf.make_context(wsn)
     y = rf.crandn(np.random.default_rng(62), (8, wsn.n_antennas), var=2.0)
     with pytest.raises(ValueError, match="jammer symbols"):
-        rf.evaluate_jam("clairvoyant", y, ctx, jam, rf.build_workspace(ctx, jam))
+        rf.evaluate("clairvoyant", y, ctx, jam, rf.build_workspace(ctx, jam))
 
 
 def test_clairvoyant_matches_shift_and_inflation_oracle_k1():
@@ -457,7 +457,7 @@ def test_jam_dispatch(jammed_pair):
     ws = rf.build_workspace(ctx, jam)
     for rule in rf.JAM_RULES:
         psi = rf.draw_psi(jam, np.random.default_rng(60), 5)
-        vals = rf.evaluate_jam(rule, y, ctx, jam, ws, psi=psi)
+        vals = rf.evaluate(rule, y, ctx, jam, ws, psi=psi)
         assert vals.shape == (5,) and np.all(np.isfinite(vals))
     # the engine, not the dispatcher, checks a rule
     with pytest.raises(ValueError, match="unknown rule 'unknown'"):
@@ -466,3 +466,9 @@ def test_jam_dispatch(jammed_pair):
         rf.Engine(wsn).stats("NLOS", rf.H0, 5, 0)
     with pytest.raises(ValueError, match="rule 'is-glrt' needs a jammer scenario"):
         rf.Engine(wsn).stats("is-glrt", rf.H0, 5, 0)
+
+
+def test_benchmark_names_are_the_package_objects():
+    # perfbench calls and traces these names: they must stay the code they time
+    assert rf.jamming_rules.evaluate_jam is rf.evaluate
+    assert rf.jamming_rules.SigmaPolySolver is rf.FloorSolver

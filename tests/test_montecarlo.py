@@ -221,9 +221,10 @@ def test_draw_deployment_keeps_sensors_with_and_without_a_jammer():
     plain, none = rf.draw_deployment(config, None, [3, 1])
     jammed, jam = rf.draw_deployment(config, "los-jam", [3, 1])
     assert none is None and jam is not None and jam.rank == config.jammer_rank
-    assert jammed.sensors == plain.sensors
+    links = ("positions", "beta", "kappa", "theta", "pd", "pf")
+    assert all(np.array_equal(getattr(jammed, f), getattr(plain, f)) for f in links)
     other, _ = rf.draw_deployment(config, None, [3, 2])
-    assert other.sensors != plain.sensors
+    assert not all(np.array_equal(getattr(other, f), getattr(plain, f)) for f in links)
 
 
 def test_draw_deployment_rejects_unknown_jammer_preset():

@@ -105,7 +105,7 @@ def test_sensor_params_validation():
 def test_generated_positions_stay_in_annulus_and_bearings_in_range(seed):
     config = rf.preset_config("intermediate", k_sensors=40, seed=seed)
     wsn = rf.generate_wsn(config, np.random.default_rng(seed))
-    pos = np.array([s.position for s in wsn.sensors])
+    pos = wsn.positions
     radii = np.linalg.norm(pos, axis=1)
     assert np.all(radii >= scenario.R_MIN) and np.all(radii <= scenario.R_MAX)
     assert np.all(wsn.theta >= 0.0) and np.all(wsn.theta <= math.pi)
@@ -185,8 +185,18 @@ def test_link_arrays_broadcast_and_are_kept_as_read_only_copies():
     # the caller's arrays stay writable, and writing them leaves the scenario alone
     theta[0], pos[0, 0] = 0.0, 0.0
     assert wsn.theta[0] == 0.3 and wsn.positions[0, 0] == 100.0
-    assert wsn.sensors[1] == rf.SensorParams(position=(0.0, 200.0), beta=2.0, kappa=0.0,
-                                             theta=1.2, pd=0.5, pf=0.05)
+    np.testing.assert_array_equal(wsn.positions[1], [0.0, 200.0])
+    assert ([getattr(wsn, f)[1] for f in ("beta", "kappa", "theta", "pd", "pf")]
+            == [2.0, 0.0, 1.2, 0.5, 0.05])
+
+
+def test_sensors_are_records_of_the_link_arrays():
+    wsn, _ = make_deployment(k=5, n=3, seed=6)
+    rows = wsn.sensors
+    assert len(rows) == wsn.k_sensors
+    for f in ("beta", "kappa", "theta", "pd", "pf"):
+        np.testing.assert_array_equal(rows[f], getattr(wsn, f))
+        assert [getattr(row, f) for row in rows] == getattr(wsn, f).tolist()
 
 
 @pytest.mark.parametrize("change,named", [
@@ -229,7 +239,8 @@ def test_with_rebuilds_derived_arrays_but_keeps_sensors():
     wsn, _ = make_deployment(k=4, n=3, seed=2)
     grown = wsn.with_(n_antennas=7, noise_power=2.5)
     assert grown.n_antennas == 7 and grown.noise_power == 2.5
-    assert grown.sensors == wsn.sensors
+    for name in ("positions", "beta", "kappa", "theta", "pd", "pf"):
+        np.testing.assert_array_equal(getattr(grown, name), getattr(wsn, name))
     assert grown.a_tilde.shape == (7, 4)
     np.testing.assert_allclose(grown.a_tilde[:3], wsn.a_tilde, rtol=1e-14)
 
@@ -351,7 +362,7 @@ def _older_format_doc(wsn, jam, signal_policy="uniform-phase"):
                    "jammer_rician_db": [10.0, 20.0], "signal_policy": signal_policy,
                    "seed": 23},
         "wsn": {"noise_power": wsn.noise_power, "n_antennas": wsn.n_antennas,
-                "positions": [list(s.position) for s in wsn.sensors],
+                "positions": wsn.positions.tolist(),
                 "beta": wsn.beta.tolist(), "kappa": wsn.kappa.tolist(),
                 "theta": wsn.theta.tolist(), "pd": wsn.pd.tolist(),
                 "pf": wsn.pf.tolist()},
@@ -368,9 +379,9 @@ def test_older_format_scenario_file_loads_the_same_arrays(tmp_path, jammed_pair)
     path = tmp_path / "older.json"
     path.write_text(json.dumps(_older_format_doc(wsn, jam), indent=2, sort_keys=True))
     wsn2, jam2 = rf.load_scenario(path)
-    for name in ("beta", "kappa", "theta", "pd", "pf", "a_tilde"):
+    for name in ("positions", "beta", "kappa", "theta", "pd", "pf", "a_tilde"):
         np.testing.assert_array_equal(getattr(wsn2, name), getattr(wsn, name))
-    assert wsn2.noise_power == wsn.noise_power and wsn2.sensors == wsn.sensors
+    assert wsn2.noise_power == wsn.noise_power
     for name in ("phi", "beta", "kappa", "positions", "a_j", "u_c"):
         np.testing.assert_array_equal(getattr(jam2, name), getattr(jam, name))
 
@@ -396,7 +407,19 @@ def _one_sensor_doc(n_antennas):
                                        ({**_one_sensor_doc(3), "jammer": {
                                            "phi": [0.3], "beta": [1.0], "kappa": [1.0],
                                            "positions": None}},
-                                        "positions: expected real numbers")])
+                                        "positions: expected real numbers"),
+                                       # float() and numpy would read these as numbers
+                                       ({"wsn": {**_one_sensor_doc(3)["wsn"],
+                                                 "noise_power": "2.5"}}, "noise_power: "),
+                                       ({"wsn": {**_one_sensor_doc(3)["wsn"],
+                                                 "noise_power": True}}, "noise_power: "),
+                                       ({"wsn": {**_one_sensor_doc(3)["wsn"], "pd": [True]}},
+                                        "pd: expected real numbers"),
+                                       ({**_one_sensor_doc(3), "jammer": {
+                                           "phi": [0.3, 1.0], "beta": [True, 1],
+                                           "kappa": [1.0, 1.0],
+                                           "positions": [[300.0, 0.0], [0.0, 400.0]]}},
+                                        "beta: expected real numbers")])
 def test_malformed_scenario_file_exits_2_before_touching_the_output(tmp_path, capsys,
                                                                     doc, named):
     path = tmp_path / "bad.json"
