@@ -12,7 +12,7 @@ from .scenario import (DeploymentConfig, JammerScenario, WsnScenario,
                        save_scenario, steering_vector)
 from .signal_model import (H0, H1, MAX_ENUM_K, SecondOrderChar,
                            UnsupportedSizeError, crandn, draw_decisions,
-                           draw_jammed, draw_psi, draw_received,
+                           draw_jammed, draw_psi, draw_received, draw_signal,
                            enumerate_decisions, real_coords, second_order_char)
 from .fusion_rules import (FREE_RULES, JAM_RULES, RULES, DegenerateWeightsError,
                            Rule, RuleContext, evaluate, igmm_rule, is_rule,

@@ -5,7 +5,8 @@ order-statistic quantile for the target false-alarm rate, then measure the
 achieved rate on a fresh sample and the detection rate under H1.  All
 randomness is derived from (seed, stream, hypothesis, block) seed sequences
 with a fixed block size, so results are bit-identical for a given seed no
-matter how many worker threads evaluate the blocks.
+matter how many worker threads evaluate the blocks.  The noise points of a
+``sweep`` share every random number and differ only in the noise scale.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import numpy as np
 from . import fusion_rules, jamming_rules
 from .scenario import (DeploymentConfig, JammerScenario, WsnScenario,
                        db_to_lin, generate_jammer, generate_wsn)
-from .signal_model import H0, H1, draw_decisions, draw_jammed, draw_received
+# draw_jammed and draw_received only for the perfbench tracer, which wraps these names
+from .signal_model import (H0, H1, draw_decisions, draw_jammed,  # noqa: F401
+                           draw_received, draw_signal, receive)
 
 BLOCK = 8192
 DEFAULT_LEVELS = (0.3, 0.1, 0.05, 0.02, 0.01)
@@ -39,7 +42,7 @@ ROC_COLUMNS = ("rule", "target_pf0", "gamma", "pf0", "pd0", "trials")
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A block-concatenated set of Monte Carlo channel uses."""
+    """A set of Monte Carlo channel uses, drawn block by block."""
 
     y: np.ndarray                 # (T, N)
     x: np.ndarray                 # (T, K)
@@ -103,7 +106,8 @@ class Engine:
 
     Block b of stream s is seeded by (seed, s, hypothesis, b) and ``eval``
     hands each kernel the rows of one block.  Every batch drawn stays cached
-    so that several rules share common random numbers without redrawing.
+    so that several rules share common random numbers without redrawing, and
+    the engines of ``at_noise`` share each stream's draw up to its noise.
     """
 
     def __init__(self, scenario: WsnScenario,
@@ -117,32 +121,51 @@ class Engine:
         self.seed = int(seed)
         self.threads = int(threads)
         self._cache: dict = {}
+        # noise-free draws of at_noise's engines; the last one forms y in place
+        self._signals: dict = {}
+        self._last = True
 
     @cached_property
     def workspace(self):
         return (None if self.jammer is None
                 else jamming_rules.build_workspace(self.ctx, self.jammer))
 
-    def _draw_block(self, h: int, stream: int, b: int, size: int) -> SampleBatch:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, int(stream), int(h), int(b)]))
-        x = draw_decisions(self.scenario, h, rng, size=size)
-        if self.jammer is not None:
-            y, psi = draw_jammed(self.scenario, self.jammer, x, rng)
-        else:
-            y, psi = draw_received(self.scenario, x, rng), None
-        return SampleBatch(y=y, x=x, psi=psi)
+    def at_noise(self, powers):
+        """Yield per noise power p of the list ``powers`` an engine sampling as
+        ``Engine(scenario.with_(noise_power=p), jammer, seed)`` would, from shared draws."""
+        for i, p in enumerate(powers):
+            engine = Engine(self.scenario.with_(noise_power=float(p)), self.jammer,
+                            seed=self.seed, threads=self.threads)
+            engine._signals, engine._last = self._signals, i == len(powers) - 1
+            yield engine
+
+    def _draw(self, h: int, trials: int, stream: int):
+        """x, s = LOS + scatter, and each block's generator state after drawing them."""
+        k, n = self.scenario.k_sensors, self.scenario.n_antennas
+        x, s = np.empty((trials, k), dtype=np.int8), np.empty((trials, n), dtype=complex)
+        states = []
+        for b, sl in enumerate(_blocks(trials)):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([self.seed, int(stream), int(h), b]))
+            x[sl] = draw_decisions(self.scenario, h, rng, size=sl.stop - sl.start)
+            s[sl] = draw_signal(self.scenario, x[sl], rng)
+            states.append(rng.bit_generator.state)
+        return x, s, states
 
     def sample(self, h: int, trials: int, stream: int) -> SampleBatch:
+        """Each block's ``receive`` (noise, then the jammer) from the state its draw left."""
         key = (h, int(trials), int(stream))
         if key not in self._cache:
-            parts = [self._draw_block(h, stream, b, sl.stop - sl.start)
-                     for b, sl in enumerate(_blocks(trials))]
-            self._cache[key] = SampleBatch(
-                y=np.concatenate([p.y for p in parts]),
-                x=np.concatenate([p.x for p in parts]),
-                psi=(np.concatenate([p.psi for p in parts])
-                     if self.jammer is not None else None))
+            x, s, states = drawn = self._signals.pop(key, None) or self._draw(*key)
+            if not self._last:
+                self._signals[key] = drawn
+            y, rng = (s if self._last else np.empty_like(s)), np.random.default_rng()
+            psis = []
+            for sl, state in zip(_blocks(trials), states):
+                rng.bit_generator.state = state
+                psis.append(receive(self.scenario, s[sl], rng, self.jammer, out=y[sl])[1])
+            psi = None if self.jammer is None else np.concatenate(psis)
+            self._cache[key] = SampleBatch(y=y, x=x, psi=psi)
         return self._cache[key]
 
     def eval(self, rule: str, batch: SampleBatch) -> np.ndarray:
@@ -276,20 +299,20 @@ def sweep(deployments, sigma_w2_dbm, n_antennas, rules, trials: int,
 
     ``deployments`` holds (preset label, jammer label, wsn, jammer-or-None)
     tuples; the grid varies each one's antenna count and noise power,
-    recomputing only derived matrices.  All rules at one grid point share the
-    same draws.  Returns a list of row dicts in CSV_COLUMNS order (plus
+    recomputing only derived matrices.  The noise points of a (deployment,
+    antennas) pair are the ``at_noise`` engines of one engine seeded by (seed,
+    deployment index, antenna index), and all rules at one grid point share
+    the same draws.  Returns a list of row dicts in CSV_COLUMNS order (plus
     ``wall_time_s``).
     """
     rows = []
     for pi, (preset, jam_label, wsn0, jam0) in enumerate(deployments):
         for ni, n in enumerate(n_antennas):
-            wsn_n = wsn0.with_(n_antennas=n)
-            jam_n = jam0.with_(n_antennas=n) if jam0 is not None else None
-            for si, s_dbm in enumerate(sigma_w2_dbm):
-                scenario = wsn_n.with_(noise_power=float(db_to_lin(s_dbm)))
-                engine = Engine(scenario, jam_n,
-                                seed=_engine_seed(seed, pi, ni, si),
-                                threads=threads)
+            base = Engine(wsn0.with_(n_antennas=n),
+                          jam0.with_(n_antennas=n) if jam0 is not None else None,
+                          seed=_engine_seed(seed, pi, ni), threads=threads)
+            noise = base.at_noise([db_to_lin(s_dbm) for s_dbm in sigma_w2_dbm])
+            for s_dbm, engine in zip(sigma_w2_dbm, noise):
                 for rule in rules:
                     t0 = time.perf_counter()
                     test = calibrate_threshold(engine, rule, target_pf0, trials)
@@ -312,19 +335,13 @@ def sweep(deployments, sigma_w2_dbm, n_antennas, rules, trials: int,
     return rows
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(rows, path, columns=CSV_COLUMNS) -> None:
     """Write the given columns of each row; floats round-trip through repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([row[c] for c in columns])
 
 
 def roc_points(engine: Engine, rule, trials: int, levels) -> list[dict]:

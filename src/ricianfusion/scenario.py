@@ -112,12 +112,24 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _numbers(name: str, value):
+    """``value`` if no boolean (JSON ``true``/``false`` included) or string sits
+    anywhere in its lists or tuples: numpy and ``float()`` would read them as numbers."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _numbers(name, v)
+    elif isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{name}: expected real numbers, got {value!r}")
+    return value
+
+
 def _floats(name: str, value, like=None) -> np.ndarray:
     """Read-only float copy of field ``name`` (broadcast to the shape of ``like``);
-    no strings or None.  Every ValueError, numpy's included, names the field."""
+    no booleans, strings or None.  Every ValueError, numpy's included, names the field."""
+    _numbers(name, value)
     try:
         a = np.asarray(value)
-        if a.dtype.kind not in "biuf":
+        if a.dtype.kind not in "iuf":
             raise ValueError(f"expected real numbers, got {a.dtype} entries")
         return _lock(np.full(np.shape(a if like is None else like), a, dtype=float))
     except ValueError as exc:
@@ -175,6 +187,7 @@ class WsnScenario:
     def __post_init__(self):
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
+        _numbers("noise_power", self.noise_power)
         if not (np.isfinite(self.noise_power) and self.noise_power > 0):
             raise ValueError(f"noise_power must be finite and positive, got {self.noise_power}")
         set_ = object.__setattr__
@@ -305,17 +318,6 @@ def generate_jammer(config: DeploymentConfig, rng: np.random.Generator,
 # "config" block records how the deployment was drawn; loading ignores it.
 
 _WSN_ARRAYS = ("beta", "kappa", "theta", "pd", "pf", "positions")
-
-
-def _numbers(name: str, value):
-    """``value`` if no JSON ``true``/``false`` or string sits anywhere in it: numpy
-    and ``float()`` would read them as numbers."""
-    if isinstance(value, list):
-        for v in value:
-            _numbers(name, v)
-    elif isinstance(value, (bool, str)):
-        raise ValueError(f"{name}: expected real numbers, got {value!r}")
-    return value
 
 
 def save_scenario(path, config: DeploymentConfig, wsn: WsnScenario,

@@ -61,23 +61,41 @@ def draw_decisions(scenario: WsnScenario, h: int, rng: np.random.Generator,
     return (rng.random((int(size), scenario.k_sensors)) < p[None, :]).astype(np.int8)
 
 
-def draw_received(scenario: WsnScenario, x, rng: np.random.Generator) -> np.ndarray:
-    """Channel uses: LOS term plus per-sensor scattered fading plus noise.
+def _scatter(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
+    """The (T, n) scatter sum_k h_k weights_k, h_k ~ CN(0, I_n), of (T, K) weights:
+    ``einsum("tnk,tk->tn", crandn(rng, (T, n, K)), weights)`` bit for bit, from
+    the same normals scaled in place and summed in k order, in cached row chunks."""
+    t, k = weights.shape
+    g = rng.standard_normal((2, t, n, k))  # crandn's real, then imaginary parts
+    out = np.empty((t, n), dtype=complex)
+    step = max(1, (1 << 15) // (n * k))
+    for lo in range(0, t, step):
+        gc, w = g[:, lo:lo + step], weights[lo:lo + step, None, :]
+        gc *= np.sqrt(0.5)
+        gc = (np.stack([gc[0] * w.real - gc[1] * w.imag, gc[0] * w.imag + gc[1] * w.real])
+              if np.iscomplexobj(w) else gc * w)
+        acc = gc[..., 0].copy()
+        for j in range(1, k):
+            acc += gc[..., j]
+        out.real[lo:lo + step], out.imag[lo:lo + step] = acc
+    return out
 
-    ``x`` has shape (T, K); the result has shape (T, N).  Draw order
-    (scattered fading first, then noise) is fixed so equal seeds give equal
-    samples.
-    """
+
+def draw_signal(scenario: WsnScenario, x, rng: np.random.Generator) -> np.ndarray:
+    """Noise-free channel uses, (T, K) decisions to (T, N): LOS term plus
+    per-sensor scattered fading; ``receive`` adds the noise."""
     x = np.asarray(x, dtype=float)
-    t, k = x.shape
-    if k != scenario.k_sensors:
-        raise ValueError(f"decision vector length {k} != K={scenario.k_sensors}")
-    n = scenario.n_antennas
-    los = x @ scenario.a_tilde.T
-    h_scat = crandn(rng, (t, n, k))
-    scat = np.einsum("tnk,tk->tn", h_scat, x * np.sqrt(scenario.nu)[None, :])
-    w = crandn(rng, (t, n), var=scenario.noise_power)
-    return los + scat + w
+    if x.ndim != 2 or x.shape[1] != scenario.k_sensors:
+        raise ValueError(f"decisions of shape {x.shape} need K={scenario.k_sensors} columns")
+    s = x @ scenario.a_tilde.T
+    s += _scatter(rng, x * np.sqrt(scenario.nu)[None, :], scenario.n_antennas)
+    return s
+
+
+def draw_received(scenario: WsnScenario, x, rng: np.random.Generator) -> np.ndarray:
+    """Channel uses, (T, K) decisions to (T, N): ``draw_signal``, then ``receive``'s
+    noise (a fixed order, so equal seeds give equal samples)."""
+    return receive(scenario, draw_signal(scenario, x, rng), rng)[0]
 
 
 def draw_psi(jammer: JammerScenario, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -85,20 +103,31 @@ def draw_psi(jammer: JammerScenario, rng: np.random.Generator, size: int) -> np.
     return np.exp(2j * np.pi * rng.random((size, jammer.rank)))
 
 
+def draw_jammer(jammer: JammerScenario, rng: np.random.Generator, size: int):
+    """Jammer symbols psi (size, r), their LOS term and the jammer scatter (size, N)."""
+    psi = draw_psi(jammer, rng, size)
+    scat = _scatter(rng, psi * np.sqrt(jammer.nu)[None, :], jammer.n_antennas)
+    return psi, jammer.los(psi), scat
+
+
+def receive(scenario: WsnScenario, s: np.ndarray, rng: np.random.Generator,
+            jammer: JammerScenario | None = None, out=None):
+    """(y, psi) from noise-free channel uses s: y = ((s + noise) + jammer LOS) +
+    jammer scatter, the noise drawn first; psi is None without a jammer."""
+    y = np.add(s, crandn(rng, s.shape, var=scenario.noise_power), out=out)
+    if jammer is None:
+        return y, None
+    psi, los, scat = draw_jammer(jammer, rng, y.shape[0])
+    y += los
+    y += scat
+    return y, psi
+
+
 def draw_jammed(scenario: WsnScenario, jammer: JammerScenario, x,
                 rng: np.random.Generator):
-    """Channel uses with the jammer active; returns (y_s, psi), (T, N) and (T, r).
-
-    The interference-free part is drawn first (so with a common seed it
-    matches draw_received exactly), then the jammer symbols psi, the jammer
-    LOS term ``jammer.los(psi)`` and its scattered fading are added.
-    """
-    t = np.shape(x)[0]
-    y = draw_received(scenario, x, rng)
-    psi = draw_psi(jammer, rng, t)
-    h_j = crandn(rng, (t, scenario.n_antennas, jammer.rank))
-    scat = np.einsum("tnr,tr->tn", h_j, psi * np.sqrt(jammer.nu)[None, :])
-    return y + jammer.los(psi) + scat, psi
+    """Channel uses with the jammer active, (y_s, psi) of shapes (T, N) and (T, r): with a
+    common seed, ``draw_received``'s sample plus ``receive``'s jammer term."""
+    return receive(scenario, draw_signal(scenario, x, rng), rng, jammer)
 
 
 def real_coords(a: np.ndarray) -> np.ndarray:

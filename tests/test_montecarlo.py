@@ -83,6 +83,30 @@ def test_engine_blocking_is_invisible_in_the_sample():
     assert small.y.shape == (block + 300, 3)
 
 
+@pytest.mark.parametrize("jammer", [None, "los-jam"])
+def test_engines_at_noise_sample_like_fresh_engines_and_free_the_shared_draws(jammer):
+    wsn, jam = make_deployment(preset="los", k=4, n=3, seed=74, jammer=jammer)
+    trials = rf.montecarlo.BLOCK + 300  # two blocks
+    powers = (0.1, 1.0, 4.0)
+    base = rf.Engine(wsn, jammer=jam, seed=5)
+    for p, eng in zip(powers, base.at_noise(powers)):
+        fresh = rf.Engine(wsn.with_(noise_power=p), jammer=jam, seed=5)
+        assert eng.scenario.noise_power == p
+        for h, stream in ((rf.H0, 0), (rf.H0, 1), (rf.H1, 2)):
+            got, want = eng.sample(h, trials, stream), fresh.sample(h, trials, stream)
+            np.testing.assert_array_equal(got.y, want.y)
+            np.testing.assert_array_equal(got.x, want.x)
+            if jam is not None:
+                np.testing.assert_array_equal(got.psi, want.psi)
+    assert base._signals == {}  # the last engine dropped every noise-free draw
+    # a fresh engine's block 1 is the samplers' draw on that block's generator
+    rng = np.random.default_rng(np.random.SeedSequence([5, 2, rf.H1, 1]))
+    x = rf.draw_decisions(fresh.scenario, rf.H1, rng, size=300)
+    y = (rf.draw_received(fresh.scenario, x, rng) if jam is None
+         else rf.draw_jammed(fresh.scenario, jam, x, rng)[0])
+    np.testing.assert_array_equal(want.y[rf.montecarlo.BLOCK:], y)
+
+
 def test_engine_sample_cache_returns_same_object():
     wsn, _ = make_deployment(k=4, n=3, seed=73)
     eng = rf.Engine(wsn, seed=2)
@@ -315,6 +339,25 @@ def test_sweep_single_cell_matches_direct_calibration():
     assert rows[0]["achieved_pf0"] == test.achieved_pf0
     assert rows[0]["pd0"] == pd0.estimate
     assert rows[0]["pd0_stderr"] == pd0.stderr
+
+
+@pytest.mark.parametrize("jammer,rule", [(None, "is"), ("los-jam", "is-glrt")])
+def test_sweep_second_noise_point_matches_direct_calibration(jammer, rule):
+    from ricianfusion.montecarlo import _engine_seed
+    seed, grid, n, trials, pf0 = 9, (2.0, 6.0), 3, 10_000, 0.05
+    deployments = preset_deployments(["los"], k=4, n=n, seed=seed, jammer=jammer)
+    rows = rf.sweep(deployments, sigma_w2_dbm=grid, n_antennas=(n,), rules=(rule,),
+                    trials=trials, target_pf0=pf0, seed=seed)
+    # every noise point of a (deployment, antennas) pair is seeded by the pair
+    _, _, wsn, jam = deployments[0]
+    eng = rf.Engine(wsn.with_(noise_power=float(rf.db_to_lin(grid[1]))), jammer=jam,
+                    seed=_engine_seed(seed, 0, 0))
+    test = rf.calibrate_threshold(eng, rule, target_pf0=pf0, trials=trials)
+    pd0 = rf.estimate_pd0(eng, test, trials=trials)
+    assert rows[1]["sigma_w2_dbm"] == grid[1]
+    assert rows[1]["gamma"] == test.gamma
+    assert rows[1]["achieved_pf0"] == test.achieved_pf0
+    assert rows[1]["pd0"] == pd0.estimate
 
 
 def test_llr_detection_degrades_with_noise():

@@ -99,6 +99,33 @@ def test_sensor_params_validation():
         wsn.with_(kappa=math.inf)
 
 
+_TWO_SENSORS = dict(theta=[0.3, 1.0], beta=[2.0, 1.0], kappa=1.0, pd=[0.9, 0.8],
+                    pf=0.05, positions=np.ones((2, 2)), n_antennas=3, noise_power=1.0)
+_TWO_LINKS = dict(phi=[0.3, 1.0], beta=[2.0, 1.0], kappa=1.0, positions=np.ones((2, 2)),
+                  n_antennas=4)
+
+
+@pytest.mark.parametrize("cls,field_,value", [
+    (rf.WsnScenario, "beta", [True, 1]),          # a mixed list reads as int
+    (rf.WsnScenario, "kappa", True),
+    (rf.WsnScenario, "pd", [True, True]),
+    (rf.WsnScenario, "pf", np.array([False, False])),
+    (rf.WsnScenario, "theta", (0.3, np.True_)),
+    (rf.WsnScenario, "positions", [[1.0, True], [1.0, 1.0]]),
+    (rf.WsnScenario, "noise_power", True),
+    (rf.WsnScenario, "noise_power", np.True_),
+    (rf.JammerScenario, "phi", [0.3, False]),
+    (rf.JammerScenario, "beta", [True, 1]),
+    (rf.JammerScenario, "kappa", np.array([True, True])),
+    (rf.JammerScenario, "positions", [[True, 1.0], [1.0, 1.0]]),
+])
+def test_scenario_fields_reject_booleans_naming_the_field(cls, field_, value):
+    fields = dict(_TWO_SENSORS if cls is rf.WsnScenario else _TWO_LINKS)
+    cls(**fields)  # the unchanged fields build
+    with pytest.raises(ValueError, match=f"^{field_}: expected real numbers"):
+        cls(**{**fields, field_: value})
+
+
 # ---------------------------------------------------------------- generation
 
 @pytest.mark.parametrize("seed", range(5))

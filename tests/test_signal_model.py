@@ -148,6 +148,37 @@ def test_identical_operating_points_make_hypotheses_indistinguishable(small_wsn)
     np.testing.assert_array_equal(c0.real_cov, c1.real_cov)
 
 
+def _reference_draw(wsn, jam, x, rng):
+    """draw_received, and with a jammer draw_jammed, written with crandn and
+    complex einsums over k."""
+    t, n = x.shape[0], wsn.n_antennas
+    los = x @ wsn.a_tilde.T
+    h = rf.crandn(rng, (t, n, wsn.k_sensors))
+    scat = np.einsum("tnk,tk->tn", h, x * np.sqrt(wsn.nu)[None, :])
+    y = los + scat + rf.crandn(rng, (t, n), var=wsn.noise_power)
+    if jam is None:
+        return y, None
+    psi = np.exp(2j * np.pi * rng.random((t, jam.rank)))
+    g = rf.crandn(rng, (t, n, jam.rank))
+    return y + jam.los(psi) + np.einsum("tnr,tr->tn", g, psi * np.sqrt(jam.nu)[None, :]), psi
+
+
+@pytest.mark.parametrize("k,n", [(14, 6), (10, 6), (14, 2), (3, 4), (1, 2)])
+@pytest.mark.parametrize("jammer", [None, "los-jam"])
+def test_samplers_equal_the_crandn_einsum_reference_bit_for_bit(k, n, jammer):
+    wsn, jam = make_deployment(preset="los", k=k, n=n, seed=k + n, jammer=jammer,
+                               jammer_rank=min(2, n - 1))
+    x = rf.draw_decisions(wsn, rf.H1, np.random.default_rng(k), size=8192)
+    y_ref, psi_ref = _reference_draw(wsn, jam, x.astype(float), np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    if jam is None:
+        np.testing.assert_array_equal(rf.draw_received(wsn, x, rng), y_ref)
+    else:
+        y, psi = rf.draw_jammed(wsn, jam, x, rng)
+        np.testing.assert_array_equal(psi, psi_ref)
+        np.testing.assert_array_equal(y, y_ref)
+
+
 # ------------------------------------------------------------ jammer draws
 
 def test_zero_jammer_symbols_reproduce_clean_channel(jammed_pair, monkeypatch):
