@@ -40,6 +40,7 @@ JAMMER_CHOICES = ["none", *sorted(JAMMER_PRESETS)]
 # an option value with a leading minus sign, e.g. the grid -10:5:10
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 MAX_GRID_POINTS = 10_000  # noise points one --sigma-grid may hold
+MAX_THREADS = 64  # worker threads one command may start
 DBM_LIMIT = 1000.0  # |noise power| in dBm; every statistic is finite within it
 
 
@@ -132,8 +133,8 @@ def _check_sizes(trials: int, levels, threads: int, n_list,
     if trials < 100.0 / min(levels):
         raise UsageError(f"need --trials >= {math.ceil(100.0 / min(levels))} "
                          f"for the false-alarm target {min(levels)}")
-    if threads < 1:
-        raise UsageError(f"need --threads >= 1, got {threads}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise UsageError(f"need --threads >= 1 and <= {MAX_THREADS}, got {threads}")
     _check_antennas(n_list, jammer_rank)
 
 
@@ -410,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads that draw and evaluate blocks")
 
     def deployment_flags(p):  # --preset, --jammer and --n of generate, verify and roc
         p.add_argument("--preset", choices=sorted(PRESETS), default="intermediate")

@@ -5,8 +5,8 @@ order-statistic quantile for the target false-alarm rate, then measure the
 achieved rate on a fresh sample and the detection rate under H1.  All
 randomness is derived from (seed, stream, hypothesis, block) seed sequences
 with a fixed block size, so results are bit-identical for a given seed no
-matter how many worker threads evaluate the blocks.  The noise points of a
-``sweep`` share every random number and differ only in the noise scale.
+matter how many worker threads draw and evaluate the blocks.  The noise points
+of a ``sweep`` share every random number and differ only in the noise scale.
 """
 
 from __future__ import annotations
@@ -101,13 +101,22 @@ def _blocks(trials: int) -> list[slice]:
     return [slice(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
 
 
+def _map(threads: int, fn, *items) -> list:
+    """``[fn(*a) for a in zip(*items)]`` in order: serially with one thread or one
+    item, else on a pool of at most ``threads`` threads started for this call."""
+    if threads == 1 or len(items[0]) == 1:
+        return [fn(*a) for a in zip(*items)]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items[0]))) as pool:
+        return list(pool.map(fn, *items))
+
+
 class Engine:
     """Draws samples and evaluates rules for one (scenario, jammer) pair.
 
-    Block b of stream s is seeded by (seed, s, hypothesis, b) and ``eval``
-    hands each kernel the rows of one block.  Every batch drawn stays cached
-    so that several rules share common random numbers without redrawing, and
-    the engines of ``at_noise`` share each stream's draw up to its noise.
+    Block b of stream s is seeded by (seed, s, hypothesis, b); ``threads`` workers
+    draw, noise and evaluate the blocks, each into its own rows.  Every batch
+    drawn stays cached so that several rules share common random numbers without
+    redrawing, and the engines of ``at_noise`` share each stream's draw up to its noise.
     """
 
     def __init__(self, scenario: WsnScenario,
@@ -140,30 +149,36 @@ class Engine:
             yield engine
 
     def _draw(self, h: int, trials: int, stream: int):
-        """x, s = LOS + scatter, and each block's generator state after drawing them."""
+        """x, s = LOS + scatter, and each block's generator state after drawing them,
+        the blocks drawn on the engine's threads into preallocated rows."""
         k, n = self.scenario.k_sensors, self.scenario.n_antennas
         x, s = np.empty((trials, k), dtype=np.int8), np.empty((trials, n), dtype=complex)
-        states = []
-        for b, sl in enumerate(_blocks(trials)):
+
+        def draw(sl):
             rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, int(stream), int(h), b]))
+                np.random.SeedSequence([self.seed, int(stream), int(h), sl.start // BLOCK]))
             x[sl] = draw_decisions(self.scenario, h, rng, size=sl.stop - sl.start)
             s[sl] = draw_signal(self.scenario, x[sl], rng)
-            states.append(rng.bit_generator.state)
-        return x, s, states
+            return rng.bit_generator.state
+
+        return x, s, _map(self.threads, draw, _blocks(trials))
 
     def sample(self, h: int, trials: int, stream: int) -> SampleBatch:
-        """Each block's ``receive`` (noise, then the jammer) from the state its draw left."""
+        """Each block's ``receive`` (noise, then the jammer) from the state its draw
+        left, on its own generator and the engine's threads."""
         key = (h, int(trials), int(stream))
         if key not in self._cache:
             x, s, states = drawn = self._signals.pop(key, None) or self._draw(*key)
             if not self._last:
                 self._signals[key] = drawn
-            y, rng = (s if self._last else np.empty_like(s)), np.random.default_rng()
-            psis = []
-            for sl, state in zip(_blocks(trials), states):
+            y = s if self._last else np.empty_like(s)
+
+            def add(sl, state):
+                rng = np.random.default_rng()
                 rng.bit_generator.state = state
-                psis.append(receive(self.scenario, s[sl], rng, self.jammer, out=y[sl])[1])
+                return receive(self.scenario, s[sl], rng, self.jammer, out=y[sl])[1]
+
+            psis = _map(self.threads, add, _blocks(trials), states)
             psi = None if self.jammer is None else np.concatenate(psis)
             self._cache[key] = SampleBatch(y=y, x=x, psi=psi)
         return self._cache[key]
@@ -186,13 +201,7 @@ class Engine:
             psi = None if batch.psi is None else batch.psi[sl]
             return evaluate(rule, batch.y[sl], self.ctx, self.jammer, ws, psi)
 
-        slices = _blocks(batch.y.shape[0])
-        if self.threads == 1 or len(slices) == 1:
-            outs = [run(sl) for sl in slices]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                outs = list(pool.map(run, slices))
-        out = np.concatenate(outs)
+        out = np.concatenate(_map(self.threads, run, _blocks(batch.y.shape[0])))
         if not np.all(np.isfinite(out)):
             raise np.linalg.LinAlgError(f"rule {rule!r} gave a statistic that is not finite")
         return out

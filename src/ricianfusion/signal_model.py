@@ -64,13 +64,17 @@ def draw_decisions(scenario: WsnScenario, h: int, rng: np.random.Generator,
 def _scatter(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
     """The (T, n) scatter sum_k h_k weights_k, h_k ~ CN(0, I_n), of (T, K) weights:
     ``einsum("tnk,tk->tn", crandn(rng, (T, n, K)), weights)`` bit for bit, from
-    the same normals scaled in place and summed in k order, in cached row chunks."""
+    the same normals scaled in place and summed in k order, in cached row chunks; only
+    the real parts are held whole, and each chunk draws its imaginary parts in turn."""
     t, k = weights.shape
-    g = rng.standard_normal((2, t, n, k))  # crandn's real, then imaginary parts
+    re = rng.standard_normal((t, n, k))
     out = np.empty((t, n), dtype=complex)
     step = max(1, (1 << 15) // (n * k))
+    buf = np.empty((2, min(step, t), n, k))
     for lo in range(0, t, step):
-        gc, w = g[:, lo:lo + step], weights[lo:lo + step, None, :]
+        gc, w = buf[:, :min(step, t - lo)], weights[lo:lo + step, None, :]
+        gc[0] = re[lo:lo + step]
+        rng.standard_normal(out=gc[1])
         gc *= np.sqrt(0.5)
         gc = (np.stack([gc[0] * w.real - gc[1] * w.imag, gc[0] * w.imag + gc[1] * w.real])
               if np.iscomplexobj(w) else gc * w)

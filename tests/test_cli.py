@@ -190,6 +190,23 @@ def test_run_validates_sizes_before_drawing_a_deployment(tmp_path, monkeypatch, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--rules", "nlos", "--out", "x.csv"],
+                                     ["roc", "--out", "x.csv"], ["verify"]])
+def test_thread_counts_above_the_bound_are_rejected_before_any_work(tmp_path, monkeypatch,
+                                                                   capsys, command):
+    # nothing is drawn and no pool is started for the rejected count
+    def started(*args, **kwargs):
+        raise AssertionError("work started before --threads was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.montecarlo, "generate_wsn", started)
+    monkeypatch.setattr(cli.montecarlo, "ThreadPoolExecutor", started)
+    monkeypatch.setattr(cli.montecarlo.Engine, "_draw", started)
+    assert cli.main([*command, "--threads", str(cli.MAX_THREADS + 1)]) == 2
+    assert f"--threads >= 1 and <= {cli.MAX_THREADS}" in capsys.readouterr().err
+    assert not os.path.exists("x.csv")
+
+
 @pytest.mark.parametrize("argv", [
     ["roc", "--jammer", "los-jam", "--n", "2", "--out", "x.csv"],
     ["verify", "--n", "2"],

@@ -71,6 +71,40 @@ def test_engine_results_do_not_depend_on_thread_count():
                                       threaded.stats(rule, rf.H1, 20_000, 0))
 
 
+def _assert_same_batch(got, want):
+    np.testing.assert_array_equal(got.y, want.y)
+    np.testing.assert_array_equal(got.x, want.x)
+    if want.psi is None:
+        assert got.psi is None
+    else:
+        np.testing.assert_array_equal(got.psi, want.psi)
+
+
+@pytest.mark.parametrize("jammer", [None, "los-jam"])
+def test_threads_draw_and_noise_the_blocks_into_the_serial_sample(jammer):
+    # a short last block finishes before the full block drawn beside it, so a
+    # pool that returned its blocks in completion order would misplace them
+    wsn, jam = make_deployment(preset="los", k=4, n=3, seed=75, jammer=jammer)
+    trials = 3 * rf.montecarlo.BLOCK + 300
+    serial = rf.Engine(wsn, jammer=jam, seed=3, threads=1)
+    threaded = rf.Engine(wsn, jammer=jam, seed=3, threads=2)
+    for h, stream in ((rf.H0, 0), (rf.H1, 2)):
+        _assert_same_batch(threaded.sample(h, trials, stream), serial.sample(h, trials, stream))
+
+
+@pytest.mark.parametrize("jammer", [None, "los-jam"])
+def test_threaded_engines_at_noise_sample_like_serial_ones(jammer):
+    # the first two engines noise a stored draw; the last forms y in place in it
+    wsn, jam = make_deployment(preset="los", k=4, n=3, seed=76, jammer=jammer)
+    trials = 3 * rf.montecarlo.BLOCK + 300
+    powers = (0.1, 1.0, 4.0)
+    serial = rf.Engine(wsn, jammer=jam, seed=4, threads=1).at_noise(powers)
+    threaded = rf.Engine(wsn, jammer=jam, seed=4, threads=2).at_noise(powers)
+    for want, got in zip(serial, threaded):
+        for h, stream in ((rf.H0, 0), (rf.H1, 2)):
+            _assert_same_batch(got.sample(h, trials, stream), want.sample(h, trials, stream))
+
+
 def test_engine_blocking_is_invisible_in_the_sample():
     # trials that are not a multiple of the block size still concatenate the
     # same leading draws as a larger request on the same stream

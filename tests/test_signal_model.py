@@ -1,6 +1,7 @@
 """Per-trial generation and closed-form second-order statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,15 +169,30 @@ def _reference_draw(wsn, jam, x, rng):
 def test_samplers_equal_the_crandn_einsum_reference_bit_for_bit(k, n, jammer):
     wsn, jam = make_deployment(preset="los", k=k, n=n, seed=k + n, jammer=jammer,
                                jammer_rank=min(2, n - 1))
-    x = rf.draw_decisions(wsn, rf.H1, np.random.default_rng(k), size=8192)
-    y_ref, psi_ref = _reference_draw(wsn, jam, x.astype(float), np.random.default_rng(n))
-    rng = np.random.default_rng(n)
-    if jam is None:
-        np.testing.assert_array_equal(rf.draw_received(wsn, x, rng), y_ref)
-    else:
-        y, psi = rf.draw_jammed(wsn, jam, x, rng)
-        np.testing.assert_array_equal(psi, psi_ref)
-        np.testing.assert_array_equal(y, y_ref)
+    # one row, a last row chunk shorter than the others, and a full engine block
+    for t in (1, 777, 8192):
+        x = rf.draw_decisions(wsn, rf.H1, np.random.default_rng(k), size=t)
+        y_ref, psi_ref = _reference_draw(wsn, jam, x.astype(float), np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        if jam is None:
+            np.testing.assert_array_equal(rf.draw_received(wsn, x, rng), y_ref)
+        else:
+            y, psi = rf.draw_jammed(wsn, jam, x, rng)
+            np.testing.assert_array_equal(psi, psi_ref)
+            np.testing.assert_array_equal(y, y_ref)
+
+
+def test_scatter_holds_half_of_its_normals_at_once():
+    # the (T, N, K) real parts stay whole; the imaginary parts are drawn per chunk
+    t, n, k = 8192, 6, 14
+    weights = np.random.default_rng(0).random((t, k))
+    tracemalloc.start()
+    try:
+        rf.signal_model._scatter(np.random.default_rng(1), weights, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 * t * n * k * 8
 
 
 # ------------------------------------------------------------ jammer draws
